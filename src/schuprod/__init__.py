@@ -13,6 +13,7 @@ from .errors import (
     DegreeMismatch,
     GroupTooLarge,
     LengthMismatch,
+    NegativeConstant,
     NotCartan,
     NotFiniteType,
     NotGrassmannianPermutation,
@@ -43,6 +44,7 @@ from .schubert import (
     product_expansion,
     structure_constant,
     structure_constant_for_word,
+    structure_constants_for_word,
     subword_solutions,
     subword_sum,
 )
@@ -53,6 +55,7 @@ from .triop import (
     poly_mul,
     triangular_eval,
     triangular_eval_closed,
+    triangular_eval_many,
     vanishing_filter,
 )
 from .weyl import (
@@ -76,6 +79,7 @@ __all__ = [
     "GroupTooLarge",
     "HomogPoly",
     "LengthMismatch",
+    "NegativeConstant",
     "NotCartan",
     "NotFiniteType",
     "NotGrassmannianPermutation",
@@ -110,10 +114,12 @@ __all__ = [
     "reduced_word",
     "structure_constant",
     "structure_constant_for_word",
+    "structure_constants_for_word",
     "subword_solutions",
     "subword_sum",
     "triangular_eval",
     "triangular_eval_closed",
+    "triangular_eval_many",
     "validate_cartan",
     "vanishing_filter",
 ]

@@ -10,8 +10,9 @@ parabolic subset, then run one of four modes:
   selftest  (--selftest)       built-in fixtures and spot properties
 
 Exit codes: 0 success, 1 input error, 2 computation error (group size
-bound), 3 selftest failure.  Enumerations can be cached on disk; the
-cache is purely advisory and versioned.
+bound, or a negative constant, which means an internal bug), 3 selftest
+failure.  Enumerations can be cached on disk; the cache is purely
+advisory and versioned.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import schubert, selftest, weyl
-from .errors import GroupTooLarge, SchubertError
+from .errors import GroupTooLarge, NegativeConstant, SchubertError
 from .relmat import cartan_matrix_of_word
 from .rootsys import CartanMatrix, cartan_matrix_by_name, validate_cartan
 from .weyl import WeylElement, Word
@@ -102,12 +102,16 @@ def _parse_group(type_name, matrix_text) -> CartanMatrix:
     raise ValueError("no group given (use --type, --matrix or --job)")
 
 
-def _parse_job_word(value) -> Word:
-    if value is None:
-        raise ValueError("missing word")
+def _parse_job_word(value, what: str = "word") -> Word:
+    """A word as the flags take it ("2,1,2") or as a JSON list of integers;
+    floats and booleans are refused, not coerced."""
     if isinstance(value, str):
         return weyl.parse_word(value)
-    return tuple(int(x) for x in value)
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(
+            f"job file {what} must be a string like '2,1,2' or a list of integers, got {value!r}"
+        )
+    return tuple(value)
 
 
 def job_from_file(path: str, args) -> JobSpec:
@@ -129,24 +133,29 @@ def job_from_file(path: str, args) -> JobSpec:
     mode = raw.get("mode", "constant")
     if mode not in ("constant", "expand", "table", "selftest"):
         raise ValueError(f"unknown mode {mode!r} in job file")
+    include_zeros = raw.get("include_zeros", False)
+    if not isinstance(include_zeros, bool):
+        raise ValueError(f"job file include_zeros must be true or false, got {include_zeros!r}")
     spec = JobSpec(
         group=matrix,
-        parabolic=tuple(sorted(int(i) for i in raw.get("parabolic", []))),
+        parabolic=tuple(sorted(_parse_job_word(raw.get("parabolic", []), "parabolic"))),
         mode=mode,
-        include_zeros=bool(raw.get("include_zeros", False)),
+        include_zeros=include_zeros,
         verbose=args.verbose,
         max_group_order=args.max_group_order,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
     )
     if "u" in raw:
-        spec.u_word = _parse_job_word(raw["u"])
+        spec.u_word = _parse_job_word(raw["u"], "u")
     if "v" in raw:
-        spec.v_word = _parse_job_word(raw["v"])
+        spec.v_word = _parse_job_word(raw["v"], "v")
     if "w" in raw:
-        spec.w_word = _parse_job_word(raw["w"])
+        spec.w_word = _parse_job_word(raw["w"], "w")
     if "table" in raw:
-        d1, d2 = raw["table"]
-        spec.table_degrees = (int(d1), int(d2))
+        degrees = raw["table"]
+        if not (isinstance(degrees, list) and len(degrees) == 2 and all(type(d) is int for d in degrees)):
+            raise ValueError(f"job file table must be two integer degree levels, got {degrees!r}")
+        spec.table_degrees = (degrees[0], degrees[1])
     return spec
 
 
@@ -317,7 +326,7 @@ def run(spec: JobSpec) -> dict:
         reps = _representatives(spec)
         if spec.parabolic:
             schubert.ensure_minimal_reps(spec.parabolic, c, u=u, v=v)
-        records = _expansion_records(spec, c, u, v, reps)
+        records = _expansion_records(spec, c, [(u, v)], reps)
         report["u"] = weyl.element_to_dict(u, c)
         report["v"] = weyl.element_to_dict(v, c)
         report["records"] = records
@@ -332,31 +341,23 @@ def run(spec: JobSpec) -> dict:
         reps = _representatives(spec)
         us = [e for e in reps if e.length == d1]
         vs = [e for e in reps if e.length == d2]
-        pairs = [(x, y) for x in us for y in vs]
-        with ThreadPoolExecutor() as pool:
-            blocks = list(
-                pool.map(lambda p: _expansion_records(spec, c, p[0], p[1], reps), pairs)
-            )
         report["degrees"] = [d1, d2]
-        report["records"] = [rec for block in blocks for rec in block]
+        report["records"] = _expansion_records(spec, c, [(x, y) for x in us for y in vs], reps)
         return report
 
     raise ValueError(f"unknown mode {spec.mode!r}")
 
 
-def _expansion_records(spec, c, u, v, reps) -> list[dict]:
-    degree = u.length + v.length
-    u_word = weyl.reduced_word(u, c)
-    v_word = weyl.reduced_word(v, c)
-    records = []
-    for w in reps:
-        if w.length != degree:
-            continue
-        w_word = weyl.reduced_word(w, c)
-        value = schubert.structure_constant_for_word(w_word, u, v, c)
-        if value != 0 or spec.include_zeros:
-            records.append(_record(u_word, v_word, w_word, value))
-    return records
+def _expansion_records(spec, c, pairs, reps) -> list[dict]:
+    """Records of every pair's expansion over reps: pair by pair, each in
+    the order of reps.  Pairs sharing a target are evaluated together."""
+    words = {e: weyl.reduced_word(e, c) for e in dict.fromkeys(e for pair in pairs for e in pair)}
+    blocks: list[list[dict]] = [[] for _ in pairs]
+    for _, w_word, values in schubert.constants_by_target(pairs, reps, c):
+        for block, (u, v), value in zip(blocks, pairs, values):
+            if value != 0 or spec.include_zeros:
+                block.append(_record(words[u], words[v], w_word, value))
+    return [rec for block in blocks for rec in block]
 
 
 # -- rendering -----------------------------------------------------------
@@ -437,7 +438,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(spec)
-    except GroupTooLarge as exc:
+    except (GroupTooLarge, NegativeConstant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SchubertError, ValueError, IndexError, OSError) as exc:

@@ -29,6 +29,11 @@ class VariableCountMismatch(SchubertError):
     """Polynomials live in different numbers of variables."""
 
 
+class NegativeConstant(SchubertError):
+    """A computed structure constant came out negative, which valid
+    constants never are: an internal inconsistency, not an input error."""
+
+
 class LengthMismatch(SchubertError):
     """Element lengths do not satisfy l(w) = l(u) + l(v)."""
 

@@ -42,6 +42,12 @@ def cartan_matrix_of_word(word, c: CartanMatrix) -> RelativeCartanMatrix:
     letters = tuple(word)
     if element_of_word(letters, c).length != len(letters):
         raise NotReduced(f"word {letters} is not reduced")
+    return relative_matrix_of_letters(letters, c)
+
+
+def relative_matrix_of_letters(letters: tuple[int, ...], c: CartanMatrix) -> RelativeCartanMatrix:
+    """The relative matrix of a word the caller has already checked to be
+    reduced (cartan_matrix_of_word checks it)."""
     k = len(letters)
     rows = tuple(
         tuple(

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LengthMismatch, NotMinimalRep, NotReduced
-from .relmat import cartan_matrix_of_word
+from .errors import LengthMismatch, NegativeConstant, NotMinimalRep, NotReduced
+from .relmat import relative_matrix_of_letters
 from .rootsys import CartanMatrix
-from .triop import HomogPoly, triangular_eval
+from .triop import HomogPoly, triangular_eval_many
 from .weyl import (
     ParabolicSubset,
     WeylElement,
@@ -63,7 +63,10 @@ def _require_reduced(word, c: CartanMatrix) -> tuple[int, ...]:
 def subword_solutions(word, target: WeylElement, c: CartanMatrix) -> list[tuple[int, ...]]:
     """All position sets of size l(target) in the reduced word whose
     letters compose to target, in lexicographic order (1-based)."""
-    letters = _require_reduced(word, c)
+    return _solutions(_require_reduced(word, c), target, c)
+
+
+def _solutions(letters, target: WeylElement, c: CartanMatrix) -> list[tuple[int, ...]]:
     k = len(letters)
     r = target.length
     if r > k:
@@ -91,10 +94,13 @@ def subword_solutions(word, target: WeylElement, c: CartanMatrix) -> list[tuple[
 
 def subword_sum(word, target: WeylElement, c: CartanMatrix) -> HomogPoly:
     """The square-free polynomial summing x_L over all solutions."""
-    letters = tuple(word)
+    return _sum(_require_reduced(word, c), target, c)
+
+
+def _sum(letters, target: WeylElement, c: CartanMatrix) -> HomogPoly:
     k = len(letters)
     terms = {}
-    for positions in subword_solutions(letters, target, c):
+    for positions in _solutions(letters, target, c):
         exps = [0] * k
         for pos in positions:
             exps[pos - 1] = 1
@@ -102,25 +108,62 @@ def subword_sum(word, target: WeylElement, c: CartanMatrix) -> HomogPoly:
     return HomogPoly(k, target.length, terms)
 
 
+def structure_constants_for_word(word, pairs, c: CartanMatrix) -> list[int]:
+    """Constants on the element of the given reduced word for each pair
+    (u, v) of pairs, evaluated with exactly that word.
+
+    The word is checked once, its relative matrix built once, each
+    distinct factor's subword sum computed once, and all products go
+    through one batched elimination of the triangular operator.  The
+    value depends only on the element (tested, not assumed); evaluating
+    with the caller's word lets the CLI display the decomposition the
+    caller supplied.
+    """
+    letters = _require_reduced(word, c)
+    pairs = list(pairs)
+    for u, v in pairs:
+        if len(letters) != u.length + v.length:
+            raise LengthMismatch(
+                f"word length {len(letters)} but l(u)+l(v)={u.length + v.length}"
+            )
+    sums: dict[WeylElement, HomogPoly] = {}
+    for factor in (x for pair in pairs for x in pair):
+        if factor not in sums:
+            sums[factor] = _sum(letters, factor, c)
+    batch = [
+        j for j, (u, v) in enumerate(pairs) if not (sums[u].is_zero or sums[v].is_zero)
+    ]
+    products = [sums[pairs[j][0]] * sums[pairs[j][1]] for j in batch]
+    a = relative_matrix_of_letters(letters, c)
+    values = [0] * len(pairs)
+    for j, value in zip(batch, triangular_eval_many(a, products)):
+        # Intersection theory makes valid constants non-negative; a
+        # negative value can only mean a bug upstream.
+        if value < 0:
+            raise NegativeConstant(f"negative structure constant {value} for word {letters}")
+        values[j] = value
+    return values
+
+
 def structure_constant_for_word(
     word, u: WeylElement, v: WeylElement, c: CartanMatrix
 ) -> int:
     """Constant on the element of the given reduced word, evaluated with
-    exactly that word.  The value depends only on the element (tested,
-    not assumed); this entry point exists to verify that and to let the
-    CLI display the decomposition the caller supplied."""
-    letters = _require_reduced(word, c)
-    if len(letters) != u.length + v.length:
-        raise LengthMismatch(
-            f"word length {len(letters)} but l(u)+l(v)={u.length + v.length}"
-        )
-    a = cartan_matrix_of_word(letters, c)
-    product = subword_sum(letters, u, c) * subword_sum(letters, v, c)
-    value = triangular_eval(a, product)
-    # Intersection theory makes valid constants non-negative; a negative
-    # value can only mean a bug upstream.
-    assert value >= 0, f"negative structure constant {value} for word {letters}"
-    return value
+    exactly that word (see structure_constants_for_word)."""
+    return structure_constants_for_word(word, [(u, v)], c)[0]
+
+
+def constants_by_target(pairs, candidates, c: CartanMatrix):
+    """For each candidate w of length l(u) + l(v), a length the pairs
+    must share, yield (w, reduced word of w, the constants of the pairs
+    on w), in candidate order."""
+    degrees = {u.length + v.length for u, v in pairs}
+    if len(degrees) > 1:
+        raise LengthMismatch(f"pairs of different degrees {sorted(degrees)}")
+    for w in candidates:
+        if w.length in degrees:
+            word = reduced_word(w, c)
+            yield w, word, structure_constants_for_word(word, pairs, c)
 
 
 def structure_constant(
@@ -174,12 +217,8 @@ def product_expansion(
         reps = minimal_coset_reps(c, parabolic, max_order)
     else:
         reps = enumerate_group(c, max_order)
-    degree = u.length + v.length
-    out = []
-    for w in reps:
-        if w.length != degree:
-            continue
-        value = structure_constant_for_word(reduced_word(w, c), u, v, c)
-        if value != 0 or include_zeros:
-            out.append(StructureConstant(u, v, w, value))
-    return out
+    return [
+        StructureConstant(u, v, w, value)
+        for w, _, (value,) in constants_by_target([(u, v)], reps, c)
+        if value != 0 or include_zeros
+    ]

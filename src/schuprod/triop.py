@@ -11,8 +11,18 @@ expansion f = sum_r h_r * x_k^r with h_r free of x_k:
      h * (a_{1,k} x_1 + ... + a_{k-1,k} x_{k-1})^(r-1).
 
 Two independent evaluation routes are provided: the recursion above
-(triangular_eval) and a closed-form sum over balanced flow matrices
-(triangular_eval_closed).  They must agree exactly; tests fuzz that.
+(triangular_eval, triangular_eval_many) and a closed-form sum over
+balanced flow matrices (triangular_eval_closed).  They must agree
+exactly; tests fuzz that.
+
+The recursion runs on plain dicts from exponent tuples to coefficient
+vectors, one entry per input polynomial, so several polynomials on the
+same matrix share one elimination (the operator is linear).  Each level
+applies law 3 by Horner's rule, one multiplication by the elimination
+form per step.  It also prunes: once a proper prefix x_1..x_i of a
+monomial carries degree above i, later steps can only raise it, so the
+monomial cannot reach law 2 and is dropped as it appears
+(vanishing_filter states the test; law 1 is its longest prefix).
 
 All coefficients are native ints, which are arbitrary precision, so the
 exactness contract holds with no overflow concerns.
@@ -177,52 +187,86 @@ def _matrix_rows(a) -> tuple[tuple[int, ...], ...]:
 
 
 def triangular_eval(a, p: HomogPoly) -> int:
-    """Evaluate the triangular operator of matrix a on p (degree = k).
+    """Evaluate the triangular operator of matrix a on p (degree = k)."""
+    return triangular_eval_many(a, [p])[0]
 
-    One recursion level groups the input by the exponent of the last
-    variable, multiplies each group by the appropriate power of the
-    elimination form, and recurses once on the combined sum; additivity
-    of the operator makes that combination exact.
+
+def triangular_eval_many(a, polys) -> list[int]:
+    """Evaluate the triangular operator of matrix a on each polynomial
+    (all of degree k = size of a) in a single elimination.
+
+    The inputs are merged into one polynomial whose coefficients are
+    vectors with one entry per input; the operator is linear, so entry j
+    of the result is the value on polys[j].
     """
     rows = _matrix_rows(a)
-    if p.k != len(rows):
-        raise DegreeMismatch(f"polynomial in {p.k} variables, matrix of size {len(rows)}")
-    if p.degree != p.k:
-        raise DegreeMismatch(f"degree {p.degree} polynomial, expected degree {p.k}")
-    return _eval(rows, p)
+    k = len(rows)
+    n = len(polys)
+    terms: dict[tuple, list[int]] = {}
+    for j, p in enumerate(polys):
+        if p.k != k:
+            raise DegreeMismatch(f"polynomial in {p.k} variables, matrix of size {k}")
+        if p.degree != k:
+            raise DegreeMismatch(f"degree {p.degree} polynomial, expected degree {k}")
+        for exps, coeff in p.terms.items():
+            if not vanishing_filter(exps):
+                terms.setdefault(exps, [0] * n)[j] += coeff
+    for m in range(k - 1, -1, -1):
+        if not terms:
+            break
+        terms = _eliminate_last(rows, m, terms)
+    return list(terms.get((), [0] * n))
 
 
-def _eval(rows, p: HomogPoly) -> int:
-    k = p.k
-    if k == 0:
-        return p.terms.get((), 0)
+def _eliminate_last(rows, m: int, terms: dict) -> dict:
+    """One level of the recursion: map a polynomial in x_1..x_{m+1} to one
+    in x_1..x_m with the same operator value.
+
+    Every input monomial passes the prefix test of vanishing_filter (so
+    its last exponent r is at least 1).  Grouping by r and summing
+    h_r * L^(r-1), with L the elimination form of column m+1, is done by
+    Horner's rule, multiplying by L once per step.  A product monomial
+    whose proper prefix already oversubscribes is dropped as soon as it
+    appears, since later factors only raise its exponents; what is left
+    after the last step also passes the prefix test.
+    """
     groups: dict[int, dict] = {}
-    for exps, coeff in p.terms.items():
-        r = exps[-1]
-        if r == 0:
-            continue  # law 1: no last variable, no contribution
-        groups.setdefault(r, {})[exps[:-1]] = coeff
-    if not groups:
-        return 0
-    elim = HomogPoly(
-        k - 1,
-        1,
-        {
-            tuple(1 if j == i else 0 for j in range(k - 1)): rows[i][k - 1]
-            for i in range(k - 1)
-            if rows[i][k - 1]
-        },
-    )
-    combined = HomogPoly.zero(k - 1, k - 1)
-    power = HomogPoly.one(k - 1)  # elim^(r-1), built incrementally
-    exponent = 0
-    for r in sorted(groups):
-        while exponent < r - 1:
-            power = power * elim
-            exponent += 1
-        combined = combined + HomogPoly(k - 1, k - r, groups[r]) * power
-    sub = tuple(row[: k - 1] for row in rows[: k - 1])
-    return _eval(sub, combined)
+    for exps, vec in terms.items():
+        groups.setdefault(exps[m], {})[exps[:m]] = vec
+    column = [(i, rows[i][m]) for i in range(m) if rows[i][m]]
+    acc: dict[tuple, list[int]] = {}
+    for r in range(max(groups), 0, -1):
+        if acc:
+            acc = _times_linear(acc, column, m)
+        for exps, vec in groups.get(r, {}).items():
+            have = acc.get(exps)
+            acc[exps] = vec if have is None else [x + y for x, y in zip(have, vec)]
+    return {e: vec for e, vec in acc.items() if (not m or e[-1]) and any(vec)}
+
+
+def _times_linear(terms: dict, column, m: int) -> dict:
+    """Multiply by the linear form sum of a * x_{i+1} over (i, a) in
+    column, keeping only monomials whose proper prefixes do not
+    oversubscribe.  Raising x_{i+1} raises every prefix sum from i on, so
+    it is allowed only past the last prefix that is already full."""
+    out: dict[tuple, list[int]] = {}
+    for exps, vec in terms.items():
+        full = -1
+        total = 0
+        for j in range(m - 1):
+            total += exps[j]
+            if total > j:
+                full = j
+        for i, a in column:
+            if i <= full:
+                continue
+            key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+            have = out.get(key)
+            if have is None:
+                out[key] = [a * y for y in vec]
+            else:
+                out[key] = [x + a * y for x, y in zip(have, vec)]
+    return out
 
 
 def vanishing_filter(r) -> bool:

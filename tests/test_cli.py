@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from schuprod import cli
+from schuprod import cartan_matrix_by_name, cli, schubert, structure_constant, weyl
 from schuprod.cli import CACHE_FORMAT_VERSION, main
 
 
@@ -290,3 +290,73 @@ def test_cache_ignores_corrupt_file(tmp_path, capsys):
     path.write_text("definitely not json")
     code, second, _ = run_cli(capsys, *args)
     assert code == 0 and second == first
+
+
+@pytest.mark.parametrize(
+    "name, parabolic, degrees",
+    [("A3", "", (1, 2)), ("B3", "2,3", (1, 2)), ("C3", "", (2, 2)), ("G2", "", (2, 3))],
+)
+def test_table_matches_per_triple_constants(capsys, name, parabolic, degrees):
+    d1, d2 = degrees
+    code, out, _ = run_cli(
+        capsys, "--type", name, "--parabolic", parabolic, "--table", str(d1), str(d2),
+        "--json", "--include-zeros",
+    )
+    assert code == 0
+    c = cartan_matrix_by_name(name)
+    indices = weyl.parse_word(parabolic)
+    reps = weyl.minimal_coset_reps(c, indices)
+    expected = [
+        {
+            "u_word": list(weyl.reduced_word(u, c)),
+            "v_word": list(weyl.reduced_word(v, c)),
+            "w_word": list(weyl.reduced_word(w, c)),
+            "value": structure_constant(u, v, w, c, indices or None),
+        }
+        for u in reps if u.length == d1
+        for v in reps if v.length == d2
+        for w in reps if w.length == d1 + d2
+    ]
+    records = json.loads(out)["records"]
+    assert records == expected
+    assert any(r["value"] for r in records)
+
+
+def test_negative_constant_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(schubert, "triangular_eval_many", lambda a, polys: [-1] * len(polys))
+    code, out, err = run_cli(capsys, "--type", "A2", "--u", "1", "--v", "2", "--expand")
+    assert code == 2 and out == ""
+    assert err.startswith("error: negative structure constant -1")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("letter", [1.7, True])
+def test_job_file_rejects_non_integer_letters(tmp_path, capsys, letter):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"group": "A2", "u": [letter], "v": [2], "w": [1, 2]}))
+    code, out, err = run_cli(capsys, "--job", str(path))
+    assert code == 1 and out == ""
+    assert "job file u must be a string like '2,1,2' or a list of integers" in err
+
+
+def test_job_file_rejects_short_table(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"group": "A3", "mode": "table", "table": [1]}))
+    code, _, err = run_cli(capsys, "--job", str(path))
+    assert code == 1 and "table must be two integer degree levels, got [1]" in err
+
+
+def test_job_file_parabolic_string_parses_like_the_flag(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    job = {"group": "A3", "mode": "table", "table": [1, 1], "parabolic": "1,3"}
+    path.write_text(json.dumps(job))
+    code, out, _ = run_cli(capsys, "--job", str(path))
+    assert code == 0
+    assert out.strip() == "P[2] * P[2] = P[1,2] + P[3,2]"
+    for bad in ([1.5], 3):
+        path.write_text(json.dumps(dict(job, parabolic=bad)))
+        code, _, err = run_cli(capsys, "--job", str(path))
+        assert code == 1 and "job file parabolic must be" in err
+    path.write_text(json.dumps(dict(job, include_zeros="no")))
+    code, _, err = run_cli(capsys, "--job", str(path))
+    assert code == 1 and "include_zeros must be true or false" in err

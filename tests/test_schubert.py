@@ -4,6 +4,7 @@ import pytest
 
 from schuprod import (
     LengthMismatch,
+    NegativeConstant,
     NotMinimalRep,
     NotReduced,
     StructureConstant,
@@ -16,9 +17,11 @@ from schuprod import (
     reduced_word,
     structure_constant,
     structure_constant_for_word,
+    structure_constants_for_word,
     subword_solutions,
     subword_sum,
 )
+from schuprod import relmat, schubert, weyl
 from schuprod.weyl import identity
 
 
@@ -350,3 +353,28 @@ def test_quotient_expansion_matches_full_flag_values(a3):
             }
             for w, value in quotient.items():
                 assert value == structure_constant(u, v, w, a3)
+
+
+def test_constants_for_word_checks_reducedness_once(g2, monkeypatch):
+    w_word = (2, 1, 2, 1, 2, 1)
+    factors = [e for e in enumerate_group(g2) if e.length == 3]
+    pairs = [(u, v) for u in factors for v in factors]
+    w = element_of_word(w_word, g2)
+    expected = [structure_constant(u, v, w, g2) for u, v in pairs]
+    calls = []
+    original = weyl.element_of_word
+
+    def counting(word, c):
+        calls.append(tuple(word))
+        return original(word, c)
+
+    for module in (schubert, relmat, weyl):
+        monkeypatch.setattr(module, "element_of_word", counting)
+    assert structure_constants_for_word(w_word, pairs, g2) == expected
+    assert calls == [w_word]
+
+
+def test_negative_value_raises(g2, g2_data, monkeypatch):
+    monkeypatch.setattr(schubert, "triangular_eval_many", lambda a, polys: [-1] * len(polys))
+    with pytest.raises(NegativeConstant, match="-1"):
+        structure_constant_for_word(W_WORD, g2_data["u"], g2_data["v"], g2)

@@ -12,6 +12,7 @@ from schuprod import (
     poly_mul,
     triangular_eval,
     triangular_eval_closed,
+    triangular_eval_many,
     vanishing_filter,
 )
 
@@ -309,3 +310,54 @@ def test_operator_matches_closed_form_on_terms(data):
     rows, p, _ = data
     total = sum(c * triangular_eval_closed(rows, e) for e, c in p.terms.items())
     assert triangular_eval(rows, p) == total
+
+
+# -- batched elimination -----------------------------------------------------
+
+
+@st.composite
+def matrix_and_batch(draw):
+    k = draw(st.integers(min_value=1, max_value=5))
+    rows = [
+        [draw(st.integers(min_value=-3, max_value=3)) if i < j else 0 for j in range(k)]
+        for i in range(k)
+    ]
+    coeffs = st.integers(min_value=-5, max_value=5)
+    polys = draw(
+        st.lists(
+            st.dictionaries(exponent_vectors(k), coeffs, max_size=5).map(
+                lambda terms: HomogPoly(k, k, terms)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # x_1^k oversubscribes its first prefix once k >= 2, so the batch
+    # always carries a monomial the elimination must prune to 0.
+    polys.append(mono(k, (k,) + (0,) * (k - 1), draw(coeffs) or 1))
+    return rows, polys
+
+
+@given(matrix_and_batch())
+@settings(max_examples=80, deadline=None)
+def test_eval_many_matches_closed_form_and_linearity(data):
+    rows, polys = data
+    values = triangular_eval_many(rows, polys)
+    assert values == [
+        sum(c * triangular_eval_closed(rows, e) for e, c in p.terms.items()) for p in polys
+    ]
+    total = polys[0]
+    for p in polys[1:]:
+        total = total + p
+    assert triangular_eval_many(rows, [total]) == [sum(values)]
+    for p in polys:
+        for exps in p.terms:
+            if vanishing_filter(exps):
+                assert triangular_eval_many(rows, [mono(len(rows), exps)]) == [0]
+
+
+def test_eval_many_edge_cases():
+    assert triangular_eval_many(two_var(2), []) == []
+    assert triangular_eval_many([], [HomogPoly.one(0), HomogPoly(0, 0, {(): 7})]) == [1, 7]
+    with pytest.raises(DegreeMismatch):
+        triangular_eval_many(two_var(1), [mono(2, (1, 1)), mono(2, (1, 0))])
