@@ -11,14 +11,12 @@ parabolic subset, then run one of four modes:
 
 Exit codes: 0 success, 1 input error, 2 computation error (group size
 bound, or a negative constant, which means an internal bug), 3 selftest
-failure.  Enumerations can be cached on disk; the cache is purely
-advisory and versioned.
+failure.  Usage errors, such as an unknown flag, are input errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -29,13 +27,7 @@ from . import schubert, selftest, weyl
 from .errors import GroupTooLarge, NegativeConstant, SchubertError
 from .relmat import cartan_matrix_of_word
 from .rootsys import CartanMatrix, cartan_matrix_by_name, validate_cartan
-from .weyl import WeylElement, Word
-
-CACHE_FORMAT_VERSION = 1
-
-
-class CacheVersionError(SchubertError):
-    """Cache file written by a newer format than this build understands."""
+from .weyl import Word, element_of_word
 
 
 @dataclass
@@ -50,13 +42,31 @@ class JobSpec:
     include_zeros: bool = False
     verbose: bool = False
     max_group_order: int = weyl.DEFAULT_MAX_GROUP_ORDER
-    cache_dir: Optional[Path] = None
     echo_matrix: bool = False
     show_matrix: bool = False
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other input error; argparse's own
+    code 2 is what this CLI gives computation errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schuprod",
         description="Multiply Schubert classes of a flag manifold from its Cartan matrix.",
     )
@@ -77,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--include-zeros", action="store_true",
                         help="keep zero terms in expansions")
-    parser.add_argument("--max-group-order", type=int, default=weyl.DEFAULT_MAX_GROUP_ORDER)
-    parser.add_argument("--cache-dir", help="directory for enumeration caches")
+    parser.add_argument("--max-group-order", type=_positive_int,
+                        default=weyl.DEFAULT_MAX_GROUP_ORDER)
     parser.add_argument("--echo-matrix", action="store_true",
                         help="print the validated Cartan matrix as JSON")
     parser.add_argument("--show-matrix", action="store_true",
@@ -143,7 +153,6 @@ def job_from_file(path: str, args) -> JobSpec:
         include_zeros=include_zeros,
         verbose=args.verbose,
         max_group_order=args.max_group_order,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
     )
     if "u" in raw:
         spec.u_word = _parse_job_word(raw["u"], "u")
@@ -189,7 +198,6 @@ def job_from_args(args) -> JobSpec:
         include_zeros=args.include_zeros,
         verbose=args.verbose,
         max_group_order=args.max_group_order,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         echo_matrix=args.echo_matrix,
         show_matrix=args.show_matrix,
     )
@@ -204,71 +212,7 @@ def job_from_args(args) -> JobSpec:
     return spec
 
 
-# -- enumeration cache --------------------------------------------------
-
-
-def _cache_path(cache_dir: Path, c: CartanMatrix, parabolic) -> Path:
-    payload = json.dumps(
-        {"matrix": c.as_lists(), "parabolic": sorted(parabolic)},
-        separators=(",", ":"),
-    )
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return cache_dir / f"weyl-{digest}.json"
-
-
-def load_cached_reps(cache_dir: Path, c: CartanMatrix, parabolic):
-    path = _cache_path(cache_dir, c, parabolic)
-    if not path.exists():
-        return None
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    version = raw.get("format_version")
-    if not isinstance(version, int) or version > CACHE_FORMAT_VERSION:
-        raise CacheVersionError(
-            f"cache file {path} has format version {version}, this build reads <= {CACHE_FORMAT_VERSION}"
-        )
-    if raw.get("matrix") != c.as_lists() or raw.get("parabolic") != sorted(parabolic):
-        return None  # stale or colliding entry; recompute
-    try:
-        return [
-            WeylElement(tuple(item["rho_image"]), int(item["length"]))
-            for item in raw["elements"]
-        ]
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def store_cached_reps(cache_dir: Path, c: CartanMatrix, parabolic, reps) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "matrix": c.as_lists(),
-        "parabolic": sorted(parabolic),
-        "elements": [
-            {"rho_image": list(e.rho_image), "length": e.length} for e in reps
-        ],
-    }
-    _cache_path(cache_dir, c, parabolic).write_text(json.dumps(payload))
-
-
-def _representatives(spec: JobSpec) -> list[WeylElement]:
-    if spec.cache_dir is not None:
-        cached = load_cached_reps(spec.cache_dir, spec.group, spec.parabolic)
-        if cached is not None:
-            return cached
-    reps = weyl.minimal_coset_reps(spec.group, spec.parabolic, spec.max_group_order)
-    if spec.cache_dir is not None:
-        store_cached_reps(spec.cache_dir, spec.group, spec.parabolic, reps)
-    return reps
-
-
 # -- execution -----------------------------------------------------------
-
-
-def _element(word: Word, c: CartanMatrix) -> WeylElement:
-    return weyl.element_of_word(word, c)
 
 
 def _record(u_word, v_word, w_word, value) -> dict:
@@ -293,37 +237,41 @@ def run(spec: JobSpec) -> dict:
     if spec.show_matrix:
         if spec.w_word is None:
             raise ValueError("--show-matrix needs --w")
-        report["relative_matrix"] = cartan_matrix_of_word(spec.w_word, c).as_lists()
+        # Constant mode reports the matrix it evaluates with.
+        if spec.mode != "constant":
+            report["relative_matrix"] = cartan_matrix_of_word(spec.w_word, c).as_lists()
     if spec.mode == "inspect":
         return report
 
     if spec.mode == "constant":
         if spec.u_word is None or spec.v_word is None or spec.w_word is None:
             raise ValueError("constant mode needs --u, --v and --w")
-        u, v = _element(spec.u_word, c), _element(spec.v_word, c)
+        u, v = element_of_word(spec.u_word, c), element_of_word(spec.v_word, c)
         if spec.parabolic:
-            w = _element(spec.w_word, c)
+            w = element_of_word(spec.w_word, c)
             schubert.ensure_minimal_reps(spec.parabolic, c, u=u, v=v, w=w)
         # Evaluate with the caller's decomposition so the verbose data
-        # describes exactly what was computed.
-        value = schubert.structure_constant_for_word(spec.w_word, u, v, c)
+        # describes exactly what was computed; the word is checked once.
+        (value,), matrix, sums = schubert._evaluate(spec.w_word, [(u, v)], c)
         report["record"] = _record(spec.u_word, spec.v_word, spec.w_word, value)
+        if spec.show_matrix:
+            report["relative_matrix"] = matrix.as_lists()
         if spec.verbose:
             report["detail"] = {
                 "w_word": list(spec.w_word),
-                "relative_matrix": cartan_matrix_of_word(spec.w_word, c).as_lists(),
-                "u_solutions": [list(s) for s in schubert.subword_solutions(spec.w_word, u, c)],
-                "v_solutions": [list(s) for s in schubert.subword_solutions(spec.w_word, v, c)],
-                "u_sum": schubert.subword_sum(spec.w_word, u, c).as_records(),
-                "v_sum": schubert.subword_sum(spec.w_word, v, c).as_records(),
+                "relative_matrix": matrix.as_lists(),
+                "u_solutions": _solution_sets(sums[u]),
+                "v_solutions": _solution_sets(sums[v]),
+                "u_sum": sums[u].as_records(),
+                "v_sum": sums[v].as_records(),
             }
         return report
 
     if spec.mode == "expand":
         if spec.u_word is None or spec.v_word is None:
             raise ValueError("expand mode needs --u and --v")
-        u, v = _element(spec.u_word, c), _element(spec.v_word, c)
-        reps = _representatives(spec)
+        u, v = element_of_word(spec.u_word, c), element_of_word(spec.v_word, c)
+        reps = weyl.minimal_coset_reps(c, spec.parabolic, spec.max_group_order)
         if spec.parabolic:
             schubert.ensure_minimal_reps(spec.parabolic, c, u=u, v=v)
         records = _expansion_records(spec, c, [(u, v)], reps)
@@ -338,7 +286,7 @@ def run(spec: JobSpec) -> dict:
         d1, d2 = spec.table_degrees
         if d1 < 0 or d2 < 0:
             raise ValueError("degree levels must be non-negative")
-        reps = _representatives(spec)
+        reps = weyl.minimal_coset_reps(c, spec.parabolic, spec.max_group_order)
         us = [e for e in reps if e.length == d1]
         vs = [e for e in reps if e.length == d2]
         report["degrees"] = [d1, d2]
@@ -346,6 +294,12 @@ def run(spec: JobSpec) -> dict:
         return report
 
     raise ValueError(f"unknown mode {spec.mode!r}")
+
+
+def _solution_sets(poly) -> list[list[int]]:
+    """The solution position sets (1-based, lexicographic) behind a
+    subword sum: one square-free monomial per solution."""
+    return sorted([i + 1 for i, x in enumerate(exps) if x] for exps in poly.terms)
 
 
 def _expansion_records(spec, c, pairs, reps) -> list[dict]:

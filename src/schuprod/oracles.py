@@ -172,5 +172,8 @@ def grassmannian_dictionary(e: WeylElement, k: int, c: CartanMatrix) -> Partitio
         )
     lam = tuple(pi[k - j] - (k + 1 - j) for j in range(1, k + 1))
     lam = tuple(x for x in lam if x > 0)
-    assert sum(lam) == e.length and (not lam or lam[0] <= n - k)
+    # lam[0] = pi[k] - k <= n - k holds for every permutation; the size
+    # check catches an element whose stored length disagrees with its image.
+    if sum(lam) != e.length:
+        raise ValueError(f"partition {lam} of {e.rho_image} does not have size l={e.length}")
     return lam

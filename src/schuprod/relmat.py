@@ -33,21 +33,25 @@ class RelativeCartanMatrix:
 
 
 def cartan_matrix_of_word(word, c: CartanMatrix) -> RelativeCartanMatrix:
-    """Build the word's relative Cartan matrix; the word must be reduced.
+    """Build the word's relative Cartan matrix; the word must be reduced
+    (the downstream evaluation is only meaningful for reduced
+    decompositions)."""
+    return relative_matrix_of_letters(_reduced_letters(word, c), c)
 
-    Reducedness is enforced (the downstream evaluation is only meaningful
-    for reduced decompositions), by comparing the word length with the
-    exact length of the element it spells.
-    """
+
+def _reduced_letters(word, c: CartanMatrix) -> tuple[int, ...]:
+    """The word's letters, after checking that the word is reduced by
+    comparing its length with the exact length of the element it spells.
+    The one reducedness check of the package."""
     letters = tuple(word)
     if element_of_word(letters, c).length != len(letters):
         raise NotReduced(f"word {letters} is not reduced")
-    return relative_matrix_of_letters(letters, c)
+    return letters
 
 
 def relative_matrix_of_letters(letters: tuple[int, ...], c: CartanMatrix) -> RelativeCartanMatrix:
     """The relative matrix of a word the caller has already checked to be
-    reduced (cartan_matrix_of_word checks it)."""
+    reduced (_reduced_letters checks it)."""
     k = len(letters)
     rows = tuple(
         tuple(

@@ -22,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LengthMismatch, NegativeConstant, NotMinimalRep, NotReduced
-from .relmat import relative_matrix_of_letters
+from .errors import LengthMismatch, NegativeConstant, NotMinimalRep
+from .relmat import RelativeCartanMatrix, _reduced_letters, relative_matrix_of_letters
 from .rootsys import CartanMatrix
 from .triop import HomogPoly, triangular_eval_many
 from .weyl import (
     ParabolicSubset,
     WeylElement,
-    element_of_word,
-    enumerate_group,
+    element_of_word,  # not called here; kept as schubert.element_of_word, which tests patch
     is_minimal_rep,
     left_multiply,
     minimal_coset_reps,
@@ -53,17 +52,10 @@ class StructureConstant:
             )
 
 
-def _require_reduced(word, c: CartanMatrix) -> tuple[int, ...]:
-    letters = tuple(word)
-    if element_of_word(letters, c).length != len(letters):
-        raise NotReduced(f"word {letters} is not reduced")
-    return letters
-
-
 def subword_solutions(word, target: WeylElement, c: CartanMatrix) -> list[tuple[int, ...]]:
     """All position sets of size l(target) in the reduced word whose
     letters compose to target, in lexicographic order (1-based)."""
-    return _solutions(_require_reduced(word, c), target, c)
+    return _solutions(_reduced_letters(word, c), target, c)
 
 
 def _solutions(letters, target: WeylElement, c: CartanMatrix) -> list[tuple[int, ...]]:
@@ -94,7 +86,7 @@ def _solutions(letters, target: WeylElement, c: CartanMatrix) -> list[tuple[int,
 
 def subword_sum(word, target: WeylElement, c: CartanMatrix) -> HomogPoly:
     """The square-free polynomial summing x_L over all solutions."""
-    return _sum(_require_reduced(word, c), target, c)
+    return _sum(_reduced_letters(word, c), target, c)
 
 
 def _sum(letters, target: WeylElement, c: CartanMatrix) -> HomogPoly:
@@ -119,7 +111,15 @@ def structure_constants_for_word(word, pairs, c: CartanMatrix) -> list[int]:
     with the caller's word lets the CLI display the decomposition the
     caller supplied.
     """
-    letters = _require_reduced(word, c)
+    return _evaluate(word, pairs, c)[0]
+
+
+def _evaluate(
+    word, pairs, c: CartanMatrix
+) -> tuple[list[int], RelativeCartanMatrix, dict[WeylElement, HomogPoly]]:
+    """structure_constants_for_word, plus the working it went through: the
+    word's relative matrix and each distinct factor's subword sum."""
+    letters = _reduced_letters(word, c)
     pairs = list(pairs)
     for u, v in pairs:
         if len(letters) != u.length + v.length:
@@ -142,7 +142,7 @@ def structure_constants_for_word(word, pairs, c: CartanMatrix) -> list[int]:
         if value < 0:
             raise NegativeConstant(f"negative structure constant {value} for word {letters}")
         values[j] = value
-    return values
+    return values, a, sums
 
 
 def structure_constant_for_word(
@@ -214,9 +214,7 @@ def product_expansion(
     """
     if parabolic is not None:
         ensure_minimal_reps(parabolic, c, u=u, v=v)
-        reps = minimal_coset_reps(c, parabolic, max_order)
-    else:
-        reps = enumerate_group(c, max_order)
+    reps = minimal_coset_reps(c, parabolic or (), max_order)
     return [
         StructureConstant(u, v, w, value)
         for w, _, (value,) in constants_by_target([(u, v)], reps, c)

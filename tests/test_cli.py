@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from schuprod import cartan_matrix_by_name, cli, schubert, structure_constant, weyl
-from schuprod.cli import CACHE_FORMAT_VERSION, main
+from schuprod import cartan_matrix_by_name, cli, relmat, schubert, structure_constant, weyl
+from schuprod.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -248,50 +248,6 @@ def test_job_file_errors(tmp_path, capsys):
     assert code == 1 and "group" in err
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    args = (
-        "--type", "A3", "--parabolic", "1,3", "--table", "1", "1",
-        "--cache-dir", str(tmp_path),
-    )
-    code, first, _ = run_cli(capsys, *args)
-    assert code == 0
-    files = list(tmp_path.glob("weyl-*.json"))
-    assert len(files) == 1
-    payload = json.loads(files[0].read_text())
-    assert payload["format_version"] == CACHE_FORMAT_VERSION
-    assert len(payload["elements"]) == 6
-    code, second, _ = run_cli(capsys, *args)
-    assert code == 0 and second == first
-
-
-def test_cache_refuses_newer_version(tmp_path, capsys):
-    args = (
-        "--type", "A3", "--parabolic", "1,3", "--expand", "--u", "2", "--v", "2",
-        "--cache-dir", str(tmp_path),
-    )
-    code, _, _ = run_cli(capsys, *args)
-    assert code == 0
-    path = next(tmp_path.glob("weyl-*.json"))
-    payload = json.loads(path.read_text())
-    payload["format_version"] = CACHE_FORMAT_VERSION + 1
-    path.write_text(json.dumps(payload))
-    code, _, err = run_cli(capsys, *args)
-    assert code == 1 and "format version" in err
-
-
-def test_cache_ignores_corrupt_file(tmp_path, capsys):
-    args = (
-        "--type", "B2", "--expand", "--u", "1", "--v", "2",
-        "--cache-dir", str(tmp_path),
-    )
-    code, first, _ = run_cli(capsys, *args)
-    assert code == 0
-    path = next(tmp_path.glob("weyl-*.json"))
-    path.write_text("definitely not json")
-    code, second, _ = run_cli(capsys, *args)
-    assert code == 0 and second == first
-
-
 @pytest.mark.parametrize(
     "name, parabolic, degrees",
     [("A3", "", (1, 2)), ("B3", "2,3", (1, 2)), ("C3", "", (2, 2)), ("G2", "", (2, 3))],
@@ -360,3 +316,108 @@ def test_job_file_parabolic_string_parses_like_the_flag(tmp_path, capsys):
     path.write_text(json.dumps(dict(job, include_zeros="no")))
     code, _, err = run_cli(capsys, "--job", str(path))
     assert code == 1 and "include_zeros must be true or false" in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_max_group_order_must_be_positive(tmp_path, capsys, bound):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"group": "A2", "mode": "expand", "u": "1", "v": "2"}))
+    for argv in (["--type", "A2", "--u", "1", "--v", "2", "--expand"], ["--job", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-group-order", bound])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert f"--max-group-order: expected a positive integer, got {bound}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--bogus"], ["--type", "A2", "--table", "x", "1"], ["--cache-dir", "D"]],
+    ids=["unknown-flag", "bad-table-degree", "removed-cache-dir"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: schuprod" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: schuprod" in capsys.readouterr().out
+
+
+G2_VERBOSE = ("--type", "G2", "--u", "2,1,2", "--v", "1,2", "--w", "2,1,2,1,2", "--verbose")
+G2_VERBOSE_TEXT = """\
+w word: 2,1,2,1,2
+relative matrix:
+    0   3  -2   3  -2
+    0   0   1  -2   1
+    0   0   0   3  -2
+    0   0   0   0   1
+    0   0   0   0   0
+u solutions: (1, 2, 3), (1, 2, 5), (1, 4, 5), (3, 4, 5)
+v solutions: (2, 3), (2, 5), (4, 5)
+1
+"""
+
+
+def _monomials(*exponents):
+    return [{"coefficient": 1, "exponents": list(e)} for e in exponents]
+
+
+G2_VERBOSE_REPORT = {
+    "detail": {
+        "relative_matrix": [
+            [0, 3, -2, 3, -2],
+            [0, 0, 1, -2, 1],
+            [0, 0, 0, 3, -2],
+            [0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0],
+        ],
+        "u_solutions": [[1, 2, 3], [1, 2, 5], [1, 4, 5], [3, 4, 5]],
+        "u_sum": _monomials((0, 0, 1, 1, 1), (1, 0, 0, 1, 1), (1, 1, 0, 0, 1), (1, 1, 1, 0, 0)),
+        "v_solutions": [[2, 3], [2, 5], [4, 5]],
+        "v_sum": _monomials((0, 0, 0, 1, 1), (0, 1, 0, 0, 1), (0, 1, 1, 0, 0)),
+        "w_word": [2, 1, 2, 1, 2],
+    },
+    "format_version": 1,
+    "group": [[2, -3], [-1, 2]],
+    "mode": "constant",
+    "parabolic": [],
+    "record": {"u_word": [2, 1, 2], "v_word": [1, 2], "value": 1, "w_word": [2, 1, 2, 1, 2]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, calls, expected",
+    [
+        (G2_VERBOSE, 3, G2_VERBOSE_TEXT),
+        (G2_VERBOSE + ("--json",), 3, json.dumps(G2_VERBOSE_REPORT, indent=2, sort_keys=True) + "\n"),
+        (
+            ("--type", "B3", "--parabolic", "2,3", "--u", "1", "--v", "2,1", "--w", "3,2,1",
+             "--verbose"),
+            4,
+            "w word: 3,2,1\nrelative matrix:\n    0   2   0\n    0   0   1\n    0   0   0\n"
+            "u solutions: (3,)\nv solutions: (2, 3)\n2\n",
+        ),
+    ],
+    ids=["G2-text", "G2-json", "B3-parabolic-text"],
+)
+def test_constant_mode_spells_each_word_once(capsys, monkeypatch, argv, calls, expected):
+    # u and v once each, w once for its reducedness check and, with a
+    # parabolic subset, once more for the coset-minimality check.
+    seen = []
+    original = weyl.element_of_word
+
+    def counting(word, c):
+        seen.append(tuple(word))
+        return original(word, c)
+
+    for module in (weyl, relmat, schubert, cli):
+        monkeypatch.setattr(module, "element_of_word", counting)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+    assert len(seen) == calls

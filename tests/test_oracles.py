@@ -6,6 +6,7 @@ import pytest
 from schuprod import (
     NotGrassmannianPermutation,
     SizeMismatch,
+    WeylElement,
     cartan_matrix_by_name,
     element_of_word,
     grassmannian_dictionary,
@@ -192,6 +193,12 @@ def test_dictionary_rejects_other_descents(a3):
         grassmannian_dictionary(w0, 2, a3)
     with pytest.raises(ValueError):
         grassmannian_dictionary(identity(a3), 4, a3)
+
+
+def test_dictionary_rejects_length_that_disagrees_with_image(a3):
+    rep = next(e for e in minimal_coset_reps(a3, (1, 3)) if e.length == 1)
+    with pytest.raises(ValueError, match="does not have size l=2"):
+        grassmannian_dictionary(WeylElement(rep.rho_image, 2), 2, a3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
