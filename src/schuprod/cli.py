@@ -278,6 +278,7 @@ def run(spec: JobSpec) -> dict:
         report["u"] = weyl.element_to_dict(u, c)
         report["v"] = weyl.element_to_dict(v, c)
         report["records"] = records
+        report["evaluation"] = _evaluation(u.length, v.length, reps)
         return report
 
     if spec.mode == "table":
@@ -291,6 +292,7 @@ def run(spec: JobSpec) -> dict:
         vs = [e for e in reps if e.length == d2]
         report["degrees"] = [d1, d2]
         report["records"] = _expansion_records(spec, c, [(x, y) for x in us for y in vs], reps)
+        report["evaluation"] = _evaluation(d1, d2, reps)
         return report
 
     raise ValueError(f"unknown mode {spec.mode!r}")
@@ -307,11 +309,22 @@ def _expansion_records(spec, c, pairs, reps) -> list[dict]:
     the order of reps.  Pairs sharing a target are evaluated together."""
     words = {e: weyl.reduced_word(e, c) for e in dict.fromkeys(e for pair in pairs for e in pair)}
     blocks: list[list[dict]] = [[] for _ in pairs]
-    for _, w_word, values in schubert.constants_by_target(pairs, reps, c):
+    for _, w_word, values in schubert.constants_by_target(pairs, reps, c, spec.parabolic):
         for block, (u, v), value in zip(blocks, pairs, values):
             if value != 0 or spec.include_zeros:
                 block.append(_record(words[u], words[v], w_word, value))
     return [rec for block in blocks for rec in block]
+
+
+def _evaluation(u_length, v_length, reps) -> Optional[dict]:
+    """The orientation the constants of factors of these lengths are
+    evaluated in and its target word's length; None when G/P has no class
+    of degree l(u) + l(v), so nothing is evaluated."""
+    dim = reps[-1].length
+    if u_length + v_length > dim:
+        return None
+    orientation, k = schubert.choose_orientation(u_length, v_length, dim)
+    return {"orientation": orientation, "word_length": k}
 
 
 # -- rendering -----------------------------------------------------------

@@ -137,31 +137,36 @@ def _check_finite_type(rows):
                     stack.append(j)
                 elif d[j] != dj:
                     raise NotFiniteType("matrix is not symmetrizable")
-    sym = [[d[i] * rows[i][j] for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if _leading_minor(sym, k) <= 0:
+    # The symmetrization scales row i by d_i > 0, which multiplies each
+    # leading minor by a positive number: the integer matrix's leading
+    # minors have the same signs, and need no fractions.
+    for k, minor in enumerate(_leading_minors(rows), start=1):
+        if minor <= 0:
             raise NotFiniteType(
                 f"symmetrized matrix has non-positive leading {k}x{k} minor"
             )
 
 
-def _leading_minor(sym, k) -> Fraction:
-    """Determinant of the leading k x k block, exact Gaussian elimination."""
-    a = [row[:k] for row in sym[:k]]
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, k):
-            f = a[r][col] / a[col][col]
-            for c in range(col, k):
-                a[r][c] -= f * a[col][c]
-    return det
+def _leading_minors(rows):
+    """The leading k x k minors of an integer matrix, k = 1..n, from one
+    fraction-free (Bareiss) elimination without pivoting, O(n^3) in all.
+
+    After step k the pivot a[k][k] is the leading (k+1) x (k+1) minor and
+    every division is exact.  A zero minor leaves the next step without a
+    divisor, so the minors stop after the first zero one.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        yield pivot
+        if pivot == 0:
+            return
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
 
 
 def cartan_pair(b, i: int, c: CartanMatrix) -> int:

@@ -32,7 +32,9 @@ from .weyl import (
     element_of_word,  # not called here; kept as schubert.element_of_word, which tests patch
     is_minimal_rep,
     left_multiply,
+    longest_element,
     minimal_coset_reps,
+    poincare_dual,
     reduced_word,
     DEFAULT_MAX_GROUP_ORDER,
 )
@@ -153,17 +155,88 @@ def structure_constant_for_word(
     return structure_constants_for_word(word, [(u, v)], c)[0]
 
 
-def constants_by_target(pairs, candidates, c: CartanMatrix):
-    """For each candidate w of length l(u) + l(v), a length the pairs
-    must share, yield (w, reduced word of w, the constants of the pairs
-    on w), in candidate order."""
+ORIENTATIONS = ("direct", "dual_u", "dual_v")
+
+
+def choose_orientation(u_length: int, v_length: int, dim: int) -> tuple[str, int]:
+    """The orientation to evaluate a^w_{u,v} in, and its target word's
+    length, for factor lengths l(u), l(v) in G/P of dimension dim.
+
+    Poincaré duality gives a^w_{u,v} = a^{u∨}_{v,w∨} = a^{v∨}_{u,w∨}
+    (x∨ = w0·x·w0_P, see weyl.poincare_dual), on target words of
+    lengths l(u) + l(v), dim - l(u) and dim - l(v).  The operator's cost
+    grows exponentially with that length, so the shortest wins; ties go
+    to the direct orientation, then to u∨.
+    """
+    lengths = (u_length + v_length, dim - u_length, dim - v_length)
+    shortest = min(lengths)
+    return ORIENTATIONS[lengths.index(shortest)], shortest
+
+
+def _constants_on(targets, pairs, dim: int, c: CartanMatrix, parabolic):
+    """The reduced word of each target w, and values[i][j], the constant
+    of pairs[j] on targets[i], for coset-minimal elements of G/P of
+    dimension dim.
+
+    Each pair is evaluated in the orientation choose_orientation picks,
+    with one batched elimination per target word: the word of w for the
+    direct pairs, the word of u∨ (or v∨) for the dual ones.  w0 and w0_P
+    are computed only when a dual orientation wins.
+    """
+    words = [reduced_word(w, c) for w in targets]
+    values = [[0] * len(pairs) for _ in targets]
+    orientations = [choose_orientation(u.length, v.length, dim)[0] for u, v in pairs]
+    direct = [j for j, o in enumerate(orientations) if o == "direct"]
+    if direct:
+        direct_pairs = [pairs[j] for j in direct]
+        for row, word in zip(values, words):
+            for j, value in zip(direct, structure_constants_for_word(word, direct_pairs, c)):
+                row[j] = value
+    if len(direct) == len(pairs):
+        return words, values
+    w0 = longest_element(c)
+    w0_p = longest_element(c, ParabolicSubset.of(parabolic).indices)
+    duals: dict[WeylElement, WeylElement] = {}
+
+    def dual(x):
+        if x not in duals:
+            duals[x] = poincare_dual(x, w0, w0_p, c)
+        return duals[x]
+
+    batches: dict[WeylElement, list] = {}
+    for j, ((u, v), orientation) in enumerate(zip(pairs, orientations)):
+        if orientation != "direct":
+            x, y = (u, v) if orientation == "dual_u" else (v, u)
+            batch = batches.setdefault(dual(x), [])
+            batch.extend(((i, j), (y, dual(w))) for i, w in enumerate(targets))
+    for target, batch in batches.items():
+        constants = structure_constants_for_word(
+            reduced_word(target, c), [pair for _, pair in batch], c
+        )
+        for ((i, j), _), value in zip(batch, constants):
+            values[i][j] = value
+    return words, values
+
+
+def constants_by_target(pairs, reps, c: CartanMatrix, parabolic=()) -> list:
+    """For each w among reps of length l(u) + l(v), a length the pairs
+    must share, (w, reduced word of w, the constants of the pairs on w),
+    in the order of reps.
+
+    reps are all the minimal coset representatives of the parabolic
+    subset (weyl.minimal_coset_reps); the last one is the longest, so its
+    length is the dimension of G/P.  Each constant is evaluated in the
+    orientation choose_orientation picks.
+    """
+    pairs = list(pairs)
     degrees = {u.length + v.length for u, v in pairs}
     if len(degrees) > 1:
         raise LengthMismatch(f"pairs of different degrees {sorted(degrees)}")
-    for w in candidates:
-        if w.length in degrees:
-            word = reduced_word(w, c)
-            yield w, word, structure_constants_for_word(word, pairs, c)
+    targets = [w for w in reps if w.length in degrees]
+    if not targets:
+        return []
+    words, values = _constants_on(targets, pairs, reps[-1].length, c, parabolic)
+    return list(zip(targets, words, values))
 
 
 def structure_constant(
@@ -177,21 +250,25 @@ def structure_constant(
     of u and v, requiring l(w) = l(u) + l(v).
 
     When a parabolic subset is supplied all three elements must be
-    minimal coset representatives; without one the computation is the
-    full-flag case, which by the fibration argument also covers every
-    quotient on representatives.
+    minimal coset representatives, and the constant is evaluated in the
+    orientation choose_orientation picks for G/P; without one the
+    computation is the full-flag case on the word of w, which by the
+    fibration argument also covers every quotient on representatives.
     """
     if parabolic is not None:
         ensure_minimal_reps(parabolic, c, u=u, v=v, w=w)
     if w.length != u.length + v.length:
         raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
-    return structure_constant_for_word(reduced_word(w, c), u, v, c)
+    if parabolic is None:
+        return structure_constant_for_word(reduced_word(w, c), u, v, c)
+    indices = ParabolicSubset.of(parabolic).indices
+    dim = longest_element(c).length - longest_element(c, indices).length
+    return _constants_on([w], [(u, v)], dim, c, parabolic)[1][0][0]
 
 
 def ensure_minimal_reps(parabolic, c, **elements):
     """Raise NotMinimalRep unless every named element is shortest in its coset."""
-    if not isinstance(parabolic, ParabolicSubset):
-        parabolic = ParabolicSubset.of(parabolic)
+    parabolic = ParabolicSubset.of(parabolic)
     parabolic.validate(c)
     for name, e in elements.items():
         if not is_minimal_rep(e, parabolic, c):
@@ -217,6 +294,6 @@ def product_expansion(
     reps = minimal_coset_reps(c, parabolic or (), max_order)
     return [
         StructureConstant(u, v, w, value)
-        for w, _, (value,) in constants_by_target([(u, v)], reps, c)
+        for w, _, (value,) in constants_by_target([(u, v)], reps, c, parabolic or ())
         if value != 0 or include_zeros
     ]

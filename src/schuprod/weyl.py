@@ -51,7 +51,10 @@ class ParabolicSubset:
     indices: frozenset[int]
 
     @classmethod
-    def of(cls, indices: Iterable[int]) -> "ParabolicSubset":
+    def of(cls, indices: "Iterable[int] | ParabolicSubset") -> "ParabolicSubset":
+        """From an iterable of indices; a ParabolicSubset comes back as is."""
+        if isinstance(indices, ParabolicSubset):
+            return indices
         return cls(frozenset(int(i) for i in indices))
 
     def validate(self, c: CartanMatrix) -> None:
@@ -159,6 +162,34 @@ def multiply(a: WeylElement, b: WeylElement, c: CartanMatrix) -> WeylElement:
     return out
 
 
+def longest_element(c: CartanMatrix, indices=None) -> WeylElement:
+    """Longest element of the subgroup generated by the simple reflections
+    of indices (1-based; all of them by default).
+
+    Climbs by left multiplication along ascents, read off the w(rho) form,
+    until every index is a descent; in a finite Coxeter group only the
+    longest element has every generator as a descent.
+    """
+    idx = range(1, c.n + 1) if indices is None else sorted(indices)
+    e = identity(c)
+    while True:
+        i = next((i for i in idx if e.rho_image[i - 1] > 0), None)
+        if i is None:
+            return e
+        e = left_multiply(i, e, c)
+
+
+def poincare_dual(x: WeylElement, w0: WeylElement, w0_p: WeylElement, c: CartanMatrix) -> WeylElement:
+    """x∨ = w0·x·w0_P, given w0 and the longest element w0_P of W'.
+
+    For x minimal in its coset xW', x·w0_P is the longest element of that
+    coset, so x∨ is minimal in its coset and has length
+    l(w0) - l(w0_P) - l(x).  The Schubert class of x∨ is the Poincaré
+    dual of the class of x in G/P.
+    """
+    return multiply(w0, multiply(x, w0_p, c), c)
+
+
 def root_image(e: WeylElement, root, c: CartanMatrix) -> Root:
     """e acting on a root (simple-root coordinates)."""
     coords = root.coords if isinstance(root, Root) else tuple(root)
@@ -231,8 +262,7 @@ def minimal_coset_reps(
     and the other longer), so they are enumerated directly instead of
     filtering the whole group.
     """
-    if not isinstance(p, ParabolicSubset):
-        p = ParabolicSubset.of(p)
+    p = ParabolicSubset.of(p)
     p.validate(c)
     if not p.indices:
         return enumerate_group(c, max_order)

@@ -421,3 +421,47 @@ def test_constant_mode_spells_each_word_once(capsys, monkeypatch, argv, calls, e
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == expected
     assert len(seen) == calls
+
+
+F4_MATRIX = "[[2,-1,0,0],[-1,2,-2,0],[0,-1,2,-1],[0,0,-1,2]]"
+
+
+@pytest.mark.parametrize(
+    "argv, evaluation",
+    [
+        (("--matrix", F4_MATRIX, "--parabolic", "1,2,3", "--table", "7", "7"), ("dual_u", 8)),
+        (("--type", "E7", "--parabolic", "1,2,3,4,5,6", "--table", "7", "7"), ("direct", 14)),
+        (("--type", "E6", "--table", "1", "2"), ("direct", 3)),
+    ],
+    ids=["F4-P123-table-7-7", "E7-P123456-table-7-7", "E6-flag-table-1-2"],
+)
+def test_json_report_names_the_evaluation_orientation(capsys, argv, evaluation):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    orientation, word_length = evaluation
+    assert json.loads(out)["evaluation"] == {"orientation": orientation, "word_length": word_length}
+
+
+def test_evaluation_is_null_without_a_class_of_that_degree(capsys):
+    # A3/P{1,3} has dimension 4: no class of degree 5 to evaluate on.
+    code, out, _ = run_cli(capsys, "--type", "A3", "--parabolic", "1,3", "--table", "3", "2", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["records"] == [] and report["evaluation"] is None
+
+
+E7_P7 = ("--type", "E7", "--parabolic", "1,2,3,4,5,6")
+E7_P7_DEGREE_13 = ("2,4,3,1,6,5,4,2,3,4,5,6,7", "4,3,1,7,6,5,4,2,3,4,5,6,7")
+
+
+def test_e7_p7_degree_13_squared_runs_on_the_dual_word(capsys):
+    # The direct word has length 26, where the operator did not finish in
+    # a minute; the u∨ word has length 27 - 13 = 14.
+    expansions = []
+    for u, v in (E7_P7_DEGREE_13, E7_P7_DEGREE_13[::-1]):
+        code, out, _ = run_cli(capsys, *E7_P7, "--u", u, "--v", v, "--expand", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["evaluation"] == {"orientation": "dual_u", "word_length": 14}
+        expansions.append([(r["w_word"], r["value"]) for r in report["records"]])
+    assert expansions[0] == expansions[1]
+    assert [value for _, value in expansions[0]] == [1]

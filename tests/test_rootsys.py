@@ -13,7 +13,7 @@ from schuprod import (
     positive_roots,
     validate_cartan,
 )
-from schuprod.rootsys import reflect_root, simple_root
+from schuprod.rootsys import _builtin_rows, _leading_minors, reflect_root, simple_root
 
 RANK_LE_4_TYPES = [
     "A1", "A2", "A3", "A4",
@@ -172,3 +172,65 @@ def test_count_matches_longest_element(name):
     c = cartan_matrix_by_name(name)
     longest = max(e.length for e in enumerate_group(c))
     assert len(positive_roots(c)) == longest
+
+
+def _gaussian_leading_minor(rows, k) -> Fraction:
+    """Reference: the leading k x k minor by exact Gaussian elimination
+    with row pivoting on Fractions, one k at a time."""
+    a = [[Fraction(x) for x in row[:k]] for row in rows[:k]]
+    det = Fraction(1)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, k):
+            f = a[r][col] / a[col][col]
+            for j in range(col, k):
+                a[r][j] -= f * a[col][j]
+    return det
+
+
+@pytest.mark.parametrize(
+    "letter,n,ks",
+    [
+        ("A", 40, (1, 2, 3, 20, 39, 40)),
+        ("A", 60, (1, 2, 30, 59, 60)),
+        ("B", 9, None),
+        ("C", 9, None),
+        ("D", 8, None),
+        ("E", 8, None),
+        ("F", 4, None),
+        ("G", 2, None),
+    ],
+)
+def test_bareiss_minors_match_gaussian_elimination(letter, n, ks):
+    rows = _builtin_rows(letter, n)
+    minors = list(_leading_minors(rows))
+    assert len(minors) == n
+    for k in ks or range(1, n + 1):
+        assert minors[k - 1] == _gaussian_leading_minor(rows, k)
+
+
+@pytest.mark.parametrize(
+    "rows,k",
+    [
+        ([[2, -2], [-2, 2]], 2),
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 3),
+        # Zero 2x2 minor with two rows still below it: the elimination
+        # must stop there instead of dividing by that zero.
+        ([[2, -2, 0, 0], [-2, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 2),
+        ([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]], 3),
+        ([[2, -3], [-3, 2]], 2),
+    ],
+)
+def test_non_finite_type_names_the_first_failing_minor(rows, k):
+    with pytest.raises(NotFiniteType, match=f"non-positive leading {k}x{k} minor"):
+        validate_cartan(rows)
+    minors = list(_leading_minors(rows))
+    assert all(m > 0 for m in minors[:k - 1]) and minors[k - 1] <= 0
+    for j, minor in enumerate(minors, start=1):
+        assert minor == _gaussian_leading_minor(rows, j)

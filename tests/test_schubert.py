@@ -22,7 +22,8 @@ from schuprod import (
     subword_sum,
 )
 from schuprod import relmat, schubert, weyl
-from schuprod.weyl import identity
+from schuprod.schubert import ORIENTATIONS, choose_orientation, constants_by_target
+from schuprod.weyl import identity, longest_element, poincare_dual
 
 
 W_WORD = (2, 1, 2, 1, 2)
@@ -378,3 +379,115 @@ def test_negative_value_raises(g2, g2_data, monkeypatch):
     monkeypatch.setattr(schubert, "triangular_eval_many", lambda a, polys: [-1] * len(polys))
     with pytest.raises(NegativeConstant, match="-1"):
         structure_constant_for_word(W_WORD, g2_data["u"], g2_data["v"], g2)
+
+
+def test_orientation_choice_and_ties():
+    assert choose_orientation(7, 7, 15) == ("dual_u", 8)  # F4/P4 --table 7 7
+    assert choose_orientation(7, 7, 27) == ("direct", 14)  # E7/P7 --table 7 7
+    assert choose_orientation(1, 2, 36) == ("direct", 3)  # E6 --table 1 2
+    assert choose_orientation(1, 4, 6) == ("dual_v", 2)
+    assert choose_orientation(2, 2, 6) == ("direct", 4)  # ties go to direct,
+    assert choose_orientation(2, 1, 4) == ("dual_u", 2)  # then to u∨
+
+
+def _by_route(triples, c, route):
+    """Each triple's constant on route(u, v, w) = (target, factor pair),
+    one batched evaluation per target word."""
+    batches = {}
+    for triple in triples:
+        target, pair = route(*triple)
+        batches.setdefault(target, []).append((triple, pair))
+    values = {}
+    for target, batch in batches.items():
+        constants = structure_constants_for_word(
+            reduced_word(target, c), [pair for _, pair in batch], c
+        )
+        values.update(zip((triple for triple, _ in batch), constants))
+    return values
+
+
+DUALITY_CASES = [
+    ("G2", (), None),
+    ("B2", (), None),
+    ("A3", (1, 3), None),
+    ("A3", (2,), None),
+    ("B3", (1,), None),
+    ("B3", (2, 3), None),
+    ("C3", (1,), None),
+    ("B3", (), None),
+    ("C3", (), None),
+    ("F4", (1, 2, 3), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "name,parabolic,top",
+    DUALITY_CASES,
+    ids=[f"{name}-P{''.join(map(str, p))}" for name, p, _ in DUALITY_CASES],
+)
+def test_poincare_duality_orientations_agree(name, parabolic, top):
+    # a^w_{u,v} = a^{u∨}_{v,w∨} = a^{v∨}_{u,w∨}, each evaluated literally on
+    # the word of its own target, for every triple up to degree top; and the
+    # chosen orientation behind constants_by_target matches the literal
+    # route on every degree pair.  Multiply-laced types pin the entry order
+    # of the relative matrices on the dual words too.
+    c = cartan_matrix_by_name(name)
+    reps = minimal_coset_reps(c, parabolic)
+    dim = reps[-1].length
+    top = dim if top is None else top
+    w0, w0_p = longest_element(c), longest_element(c, parabolic)
+    dual = {x: poincare_dual(x, w0, w0_p, c) for x in reps}
+    by_length = {}
+    for x in reps:
+        by_length.setdefault(x.length, []).append(x)
+    triples = [
+        (u, v, w)
+        for u in reps
+        for v in reps
+        if u.length + v.length <= top
+        for w in by_length.get(u.length + v.length, [])
+    ]
+    literal = _by_route(triples, c, lambda u, v, w: (w, (u, v)))
+    assert _by_route(triples, c, lambda u, v, w: (dual[u], (v, dual[w]))) == literal
+    assert _by_route(triples, c, lambda u, v, w: (dual[v], (u, dual[w]))) == literal
+    assert any(literal.values())
+    chosen = set()
+    for d1 in range(top + 1):
+        for d2 in range(top + 1 - d1):
+            pairs = [(u, v) for u in by_length[d1] for v in by_length[d2]]
+            chosen.add(choose_orientation(d1, d2, dim)[0])
+            for w, word, values in constants_by_target(pairs, reps, c, parabolic):
+                assert word == reduced_word(w, c)
+                assert values == [literal[u, v, w] for u, v in pairs]
+    assert chosen == (set(ORIENTATIONS) if top == dim else {"direct"})
+
+
+def test_parabolic_structure_constant_uses_the_chosen_orientation(monkeypatch):
+    # B3/P{2,3} is the 5-dimensional quadric: the hyperplane class h times
+    # the degree-3 class is evaluated on the word of v∨ (length 2), and
+    # still gives the known coefficient 1.
+    c = cartan_matrix_by_name("B3")
+    reps = minimal_coset_reps(c, (2, 3))
+    seen = []
+    original = schubert.structure_constants_for_word
+
+    def recording(word, pairs, c):
+        seen.append(len(word))
+        return original(word, pairs, c)
+
+    monkeypatch.setattr(schubert, "structure_constants_for_word", recording)
+    assert choose_orientation(1, 3, 5) == ("dual_v", 2)
+    assert structure_constant(reps[1], reps[3], reps[4], c, parabolic=(2, 3)) == 1
+    assert seen == [2]
+
+
+@pytest.mark.parametrize(
+    "u_word,v_word,orientation",
+    [((1,), (2,), "direct"), ((1, 2, 1, 2), (1,), "dual_u"), ((1,), (2, 1, 2, 1), "dual_v")],
+)
+def test_negative_value_raises_in_every_orientation(g2, monkeypatch, u_word, v_word, orientation):
+    u, v = element_of_word(u_word, g2), element_of_word(v_word, g2)
+    assert choose_orientation(u.length, v.length, 6)[0] == orientation
+    monkeypatch.setattr(schubert, "triangular_eval_many", lambda a, polys: [-1] * len(polys))
+    with pytest.raises(NegativeConstant, match="-1"):
+        product_expansion(u, v, g2)

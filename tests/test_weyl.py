@@ -23,8 +23,10 @@ from schuprod.weyl import (
     identity,
     inverse,
     inversion_count,
+    longest_element,
     multiply,
     parse_word,
+    poincare_dual,
     root_image,
 )
 
@@ -285,3 +287,37 @@ def test_element_to_dict(g2):
     assert d["length"] == 5
     assert element_of_word(d["word"], g2) == w
     assert tuple(d["rho_image"]) == w.rho_image
+
+
+@pytest.mark.parametrize(
+    "name,indices",
+    [("A3", None), ("B3", None), ("G2", None), ("A3", (1, 3)), ("B3", (2, 3)), ("C3", (1,)), ("F4", (1, 2, 3))],
+)
+def test_longest_element_of_a_subset(name, indices):
+    # Checked against enumeration: the longest element of the subgroup
+    # generated by the given reflections, spelled in those letters only.
+    c = cartan_matrix_by_name(name)
+    chosen = range(1, c.n + 1) if indices is None else indices
+    top = longest_element(c, indices)
+    subgroup = [e for e in enumerate_group(c) if set(reduced_word(e, c)) <= set(chosen)]
+    assert top.length == max(e.length for e in subgroup)
+    assert top in subgroup
+    assert [x for x in subgroup if x.length == top.length] == [top]
+
+
+@pytest.mark.parametrize(
+    "name,parabolic",
+    [("G2", ()), ("A3", (1, 3)), ("A3", (2,)), ("B3", (1,)), ("B3", (2, 3)), ("C3", ()), ("F4", (1, 2, 3))],
+)
+def test_poincare_dual_is_a_length_reversing_involution_of_reps(name, parabolic):
+    c = cartan_matrix_by_name(name)
+    reps = minimal_coset_reps(c, parabolic)
+    dim = reps[-1].length
+    w0, w0_p = longest_element(c), longest_element(c, parabolic)
+    assert dim == w0.length - w0_p.length
+    duals = {x: poincare_dual(x, w0, w0_p, c) for x in reps}
+    assert set(duals.values()) == set(reps)
+    for x, y in duals.items():
+        assert y.length == dim - x.length
+        assert duals[y] == x
+    assert duals[reps[0]] == reps[-1]
