@@ -108,6 +108,8 @@ def _parse_group(type_name, matrix_text) -> CartanMatrix:
             raise ValueError(
                 f"cannot parse --matrix at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise ValueError("cannot parse --matrix: nested too deeply") from None
         return validate_cartan(rows)
     raise ValueError("no group given (use --type, --matrix or --job)")
 
@@ -131,6 +133,8 @@ def job_from_file(path: str, args) -> JobSpec:
         raise ValueError(
             f"cannot parse job file {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValueError(f"cannot parse job file {path}: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"job file {path} must hold a JSON object")
     group = raw.get("group")

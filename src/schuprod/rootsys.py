@@ -84,11 +84,14 @@ def simple_root(i: int, n: int) -> Root:
 def validate_cartan(m) -> CartanMatrix:
     """Check a square integer matrix and return it as a CartanMatrix.
 
-    Raises NotCartan if the shape constraints fail (diagonal not 2,
-    off-diagonal outside {0,-1,-2,-3}, asymmetric zero pattern) and
-    NotFiniteType if the symmetrized matrix is not positive definite,
-    in which case root generation would not terminate.
+    Raises NotCartan if the shape constraints fail (not a list or tuple
+    of lists or tuples, diagonal not 2, off-diagonal outside
+    {0,-1,-2,-3}, asymmetric zero pattern) and NotFiniteType if the
+    symmetrized matrix is not positive definite, in which case root
+    generation would not terminate.
     """
+    if not isinstance(m, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in m):
+        raise NotCartan("matrix must be an array of arrays of integers")
     rows = [list(row) for row in m]
     n = len(rows)
     if n == 0:

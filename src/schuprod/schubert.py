@@ -180,22 +180,16 @@ def _constants_on(targets, pairs, dim: int, c: CartanMatrix, parabolic):
 
     Each pair is evaluated in the orientation choose_orientation picks,
     with one batched elimination per target word: the word of w for the
-    direct pairs, the word of u∨ (or v∨) for the dual ones.  w0 and w0_P
-    are computed only when a dual orientation wins.
+    direct pairs, whose factors are (u, v), and the word of u∨ (or v∨)
+    for the dual ones.  w0 and w0_P are computed only when a dual
+    orientation wins.
     """
-    words = [reduced_word(w, c) for w in targets]
+    words = {w: reduced_word(w, c) for w in targets}
     values = [[0] * len(pairs) for _ in targets]
     orientations = [choose_orientation(u.length, v.length, dim)[0] for u, v in pairs]
-    direct = [j for j, o in enumerate(orientations) if o == "direct"]
-    if direct:
-        direct_pairs = [pairs[j] for j in direct]
-        for row, word in zip(values, words):
-            for j, value in zip(direct, structure_constants_for_word(word, direct_pairs, c)):
-                row[j] = value
-    if len(direct) == len(pairs):
-        return words, values
-    w0 = longest_element(c)
-    w0_p = longest_element(c, ParabolicSubset.of(parabolic).indices)
+    if any(o != "direct" for o in orientations):
+        w0 = longest_element(c)
+        w0_p = longest_element(c, ParabolicSubset.of(parabolic).indices)
     duals: dict[WeylElement, WeylElement] = {}
 
     def dual(x):
@@ -205,17 +199,16 @@ def _constants_on(targets, pairs, dim: int, c: CartanMatrix, parabolic):
 
     batches: dict[WeylElement, list] = {}
     for j, ((u, v), orientation) in enumerate(zip(pairs, orientations)):
-        if orientation != "direct":
-            x, y = (u, v) if orientation == "dual_u" else (v, u)
-            batch = batches.setdefault(dual(x), [])
-            batch.extend(((i, j), (y, dual(w))) for i, w in enumerate(targets))
+        x, y = (u, v) if orientation == "dual_u" else (v, u)
+        for i, w in enumerate(targets):
+            target, pair = (w, (u, v)) if orientation == "direct" else (dual(x), (y, dual(w)))
+            batches.setdefault(target, []).append(((i, j), pair))
     for target, batch in batches.items():
-        constants = structure_constants_for_word(
-            reduced_word(target, c), [pair for _, pair in batch], c
-        )
+        word = words[target] if target in words else reduced_word(target, c)
+        constants = structure_constants_for_word(word, [pair for _, pair in batch], c)
         for ((i, j), _), value in zip(batch, constants):
             values[i][j] = value
-    return words, values
+    return [words[w] for w in targets], values
 
 
 def constants_by_target(pairs, reps, c: CartanMatrix, parabolic=()) -> list:

@@ -8,7 +8,10 @@ reflection acts by s_i(v)_j = v_j - v_i * C_ij, so left multiplication
 is a single integer row operation and the sign of coordinate i of
 w(rho) tells whether s_i * w is shorter or longer than w.  That one
 fact drives everything below: enumeration, length bookkeeping, descent
-tests and reduced-word extraction, all float-free.
+tests and reduced-word extraction, all float-free.  Enumeration of the
+minimal coset representatives of W/W' applies it to the weight lambda_P
+stabilised by W' in place of rho: the representatives are in bijection
+with the orbit of lambda_P, and the whole group is the case W' = 1.
 
 Convention for words: (i_1,...,i_k) spells the composite map
 s_{i_1} . s_{i_2} ... s_{i_k} with the rightmost factor applied first.
@@ -208,31 +211,16 @@ def inversion_count(e: WeylElement, c: CartanMatrix) -> int:
 def enumerate_group(
     c: CartanMatrix, max_order: int = DEFAULT_MAX_GROUP_ORDER
 ) -> list[WeylElement]:
-    """All elements of W, breadth-first by length.
-
-    Deterministic order: by length, then lexicographically on the
-    canonical form.  Raises GroupTooLarge past max_order elements.
-    """
-    e = identity(c)
-    seen = {e.rho_image: e}
-    frontier = [e]
-    while frontier:
-        fresh = []
-        for cur in frontier:
-            for i in range(1, c.n + 1):
-                if cur.rho_image[i - 1] > 0:  # only length-increasing steps
-                    nxt = left_multiply(i, cur, c)
-                    if nxt.rho_image not in seen:
-                        seen[nxt.rho_image] = nxt
-                        fresh.append(nxt)
-        if len(seen) > max_order:
-            raise GroupTooLarge(f"group exceeds max_order={max_order}")
-        frontier = fresh
-    return sorted(seen.values(), key=lambda w: (w.length, w.rho_image))
+    """All elements of W, in the order of minimal_coset_reps: W is W/W'
+    for the empty parabolic subset, whose weight lambda_P is rho."""
+    return minimal_coset_reps(c, (), max_order)
 
 
-def _word_sends_simples_positive(word, indices, c: CartanMatrix) -> bool:
-    for i in indices:
+def is_minimal_rep(e: WeylElement, p: ParabolicSubset, c: CartanMatrix) -> bool:
+    """Shortest-in-coset test: e sends every simple root of the parabolic
+    to a positive root."""
+    word = reduced_word(e, c)
+    for i in p.indices:
         coords = tuple(1 if m == i - 1 else 0 for m in range(c.n))
         for letter in reversed(word):
             coords = reflect_root(letter, coords, c)
@@ -241,55 +229,50 @@ def _word_sends_simples_positive(word, indices, c: CartanMatrix) -> bool:
     return True
 
 
-def is_minimal_rep(e: WeylElement, p: ParabolicSubset, c: CartanMatrix) -> bool:
-    """Shortest-in-coset test: e sends every simple root of the parabolic
-    to a positive root."""
-    return _word_sends_simples_positive(reduced_word(e, c), p.indices, c)
-
-
 def minimal_coset_reps(
     c: CartanMatrix, p, max_order: int = DEFAULT_MAX_GROUP_ORDER
 ) -> list[WeylElement]:
-    """Minimal-length representatives of the cosets w W', in enumeration order.
+    """Minimal-length representatives of the cosets w W', by length, then
+    lexicographically on the canonical form.
 
     p is a ParabolicSubset or an iterable of 1-based indices; the empty
-    set gives all of W, the full set just the identity.
+    set gives all of W, the full set just the identity.  Raises
+    GroupTooLarge past max_order representatives.
 
-    The representatives form an ideal in the left weak order (peeling a
-    left descent of a minimal element stays minimal: the only way s_i
-    could break minimality is w(a_j) = a_i for some parabolic j, which
-    would force s_i * w = w * s_j, impossible when one side is shorter
-    and the other longer), so they are enumerated directly instead of
-    filtering the whole group.
+    The walk is breadth-first on the orbit of lambda_P, the sum of the
+    fundamental weights outside p (coordinate i is 0 for i in p, else 1).
+    W' is its stabiliser, so x -> x(lambda_P) is a bijection from the
+    representatives onto the orbit, and coordinate i of x(lambda_P),
+    the pairing of lambda_P with x^-1(a_i), is positive exactly when
+    s_i * x is a longer representative (0: same coset, negative:
+    shorter).  Peeling a left descent keeps a representative minimal,
+    so these up-steps from lambda_P reach every representative.
     """
     p = ParabolicSubset.of(p)
     p.validate(c)
-    if not p.indices:
-        return enumerate_group(c, max_order)
-    indices = sorted(p.indices)
-    e = identity(c)
-    kept: dict[tuple[int, ...], WeylElement] = {e.rho_image: e}
-    rejected: set[tuple[int, ...]] = set()
-    frontier = [(e, ())]
+    start = tuple(0 if i in p.indices else 1 for i in range(1, c.n + 1))
+    seen = {start: identity(c)}
+    frontier = [start]
     while frontier:
         fresh = []
-        for cur, word in frontier:
+        for image in frontier:
             for i in range(1, c.n + 1):
-                if cur.rho_image[i - 1] <= 0:
-                    continue
-                nxt = left_multiply(i, cur, c)
-                if nxt.rho_image in kept or nxt.rho_image in rejected:
-                    continue
-                nxt_word = (i,) + word
-                if _word_sends_simples_positive(nxt_word, indices, c):
-                    kept[nxt.rho_image] = nxt
-                    fresh.append((nxt, nxt_word))
-                else:
-                    rejected.add(nxt.rho_image)
-        if len(kept) > max_order:
+                if image[i - 1] > 0:
+                    nxt = apply_simple_reflection(i, image, c)
+                    if nxt not in seen:
+                        cur = seen[image]
+                        # With p empty, lambda_P is rho: nxt is already the
+                        # canonical form of s_i * cur, and one tuple serves
+                        # as key and element.
+                        seen[nxt] = (
+                            left_multiply(i, cur, c) if p.indices
+                            else WeylElement(nxt, cur.length + 1)
+                        )
+                        fresh.append(nxt)
+        if len(seen) > max_order:
             raise GroupTooLarge(f"representative set exceeds max_order={max_order}")
         frontier = fresh
-    return sorted(kept.values(), key=lambda w: (w.length, w.rho_image))
+    return sorted(seen.values(), key=lambda w: (w.length, w.rho_image))
 
 
 def parse_word(text: str) -> Word:

@@ -465,3 +465,22 @@ def test_e7_p7_degree_13_squared_runs_on_the_dual_word(capsys):
         expansions.append([(r["w_word"], r["value"]) for r in report["records"]])
     assert expansions[0] == expansions[1]
     assert [value for _, value in expansions[0]] == [1]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    ["5", "[5]", "null", '{"a":1}', "[" * 100000],
+    ids=["number", "flat-array", "null", "object", "nested-100000-deep"],
+)
+@pytest.mark.parametrize("form", ["flag", "job-file"])
+def test_malformed_matrix_is_an_input_error(tmp_path, capsys, matrix, form):
+    if form == "flag":
+        argv = ["--matrix", matrix, "--table", "1", "1"]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text('{"mode": "table", "table": [1, 1], "group": ' + matrix + "}")
+        argv = ["--job", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

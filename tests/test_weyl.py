@@ -141,9 +141,17 @@ def test_group_orders(name, order):
     assert lengths == sorted(lengths)  # enumeration ordered by length
 
 
-def test_group_too_large(a3):
+@pytest.mark.parametrize(
+    "name,enumerate_",
+    [
+        ("A3", lambda a3: enumerate_group(a3, max_order=5)),
+        ("E6", lambda e6: minimal_coset_reps(e6, (2, 3, 4, 5, 6), max_order=10)),
+    ],
+    ids=["A3-group", "E6-P1"],
+)
+def test_group_too_large(name, enumerate_):
     with pytest.raises(GroupTooLarge):
-        enumerate_group(a3, max_order=5)
+        enumerate_(cartan_matrix_by_name(name))
 
 
 @pytest.mark.parametrize("name,max_len", [("B2", 4), ("G2", 4), ("A3", 3)])
@@ -216,7 +224,7 @@ def test_minimal_coset_reps_grassmannian(a3):
     assert len(union) == 24
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "C3", "D4", "F4"])
 def test_minimal_reps_match_group_filter(name):
     # The direct enumeration must agree with filtering the whole group
     # through the shortest-in-coset test, for every parabolic subset.
@@ -321,3 +329,14 @@ def test_poincare_dual_is_a_length_reversing_involution_of_reps(name, parabolic)
         assert y.length == dim - x.length
         assert duals[y] == x
     assert duals[reps[0]] == reps[-1]
+
+
+@pytest.mark.parametrize(
+    "name,parabolic",
+    [("B3", ()), ("D4", (1, 3, 4)), ("F4", (2, 3)), ("E6", (1, 6))],
+    ids=["B3", "D4-P134", "F4-P23", "E6-P16"],
+)
+def test_reps_come_by_length_then_canonical_form(name, parabolic):
+    # The documented order, which the breadth-first walk alone does not give.
+    reps = minimal_coset_reps(cartan_matrix_by_name(name), parabolic)
+    assert reps == sorted(reps, key=lambda e: (e.length, e.rho_image))
