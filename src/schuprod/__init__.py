@@ -24,11 +24,14 @@ from .errors import (
     VariableCountMismatch,
 )
 from .oracles import (
+    FlowMatrix,
+    flow_matrices,
     format_partition,
     grassmannian_dictionary,
     lr_coefficient,
     parse_partition,
     partitions_in_box,
+    triangular_eval_closed,
 )
 from .relmat import RelativeCartanMatrix, cartan_matrix_of_word
 from .rootsys import (
@@ -49,12 +52,9 @@ from .schubert import (
     subword_sum,
 )
 from .triop import (
-    FlowMatrix,
     HomogPoly,
-    flow_matrices,
     poly_mul,
     triangular_eval,
-    triangular_eval_closed,
     triangular_eval_many,
     vanishing_filter,
 )

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import schubert, selftest, weyl
 from .errors import GroupTooLarge, NegativeConstant, SchubertError
-from .relmat import cartan_matrix_of_word
+from .relmat import cartan_matrix_of_word, element_of_reduced_word
 from .rootsys import CartanMatrix, cartan_matrix_by_name, validate_cartan
 from .weyl import Word, element_of_word
 
@@ -230,6 +230,8 @@ def _record(u_word, v_word, w_word, value) -> dict:
 
 def run(spec: JobSpec) -> dict:
     c = spec.group
+    if len(set(spec.parabolic)) != len(spec.parabolic):
+        raise ValueError(f"parabolic indices must be distinct, got {weyl.format_word(spec.parabolic)}")
     report: dict = {
         "format_version": 1,
         "mode": spec.mode,
@@ -250,13 +252,13 @@ def run(spec: JobSpec) -> dict:
     if spec.mode == "constant":
         if spec.u_word is None or spec.v_word is None or spec.w_word is None:
             raise ValueError("constant mode needs --u, --v and --w")
-        u, v = element_of_word(spec.u_word, c), element_of_word(spec.v_word, c)
+        u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
         if spec.parabolic:
             w = element_of_word(spec.w_word, c)
             schubert.ensure_minimal_reps(spec.parabolic, c, u=u, v=v, w=w)
         # Evaluate with the caller's decomposition so the verbose data
         # describes exactly what was computed; the word is checked once.
-        (value,), matrix, sums = schubert._evaluate(spec.w_word, [(u, v)], c)
+        (value,), matrix, solutions = schubert._evaluate(spec.w_word, [(u, v)], c)
         report["record"] = _record(spec.u_word, spec.v_word, spec.w_word, value)
         if spec.show_matrix:
             report["relative_matrix"] = matrix.as_lists()
@@ -264,71 +266,62 @@ def run(spec: JobSpec) -> dict:
             report["detail"] = {
                 "w_word": list(spec.w_word),
                 "relative_matrix": matrix.as_lists(),
-                "u_solutions": _solution_sets(sums[u]),
-                "v_solutions": _solution_sets(sums[v]),
-                "u_sum": sums[u].as_records(),
-                "v_sum": sums[v].as_records(),
+                "u_solutions": [list(L) for L in solutions[u]],
+                "v_solutions": [list(L) for L in solutions[v]],
+                "u_sum": _sum_records(solutions[u], matrix.k),
+                "v_sum": _sum_records(solutions[v], matrix.k),
             }
         return report
 
-    if spec.mode == "expand":
-        if spec.u_word is None or spec.v_word is None:
-            raise ValueError("expand mode needs --u and --v")
-        u, v = element_of_word(spec.u_word, c), element_of_word(spec.v_word, c)
+    if spec.mode in ("expand", "table"):
+        if spec.mode == "expand":
+            if spec.u_word is None or spec.v_word is None:
+                raise ValueError("expand mode needs --u and --v")
+            u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
+            d1, d2 = u.length, v.length
+        else:
+            if spec.table_degrees is None:
+                raise ValueError("table mode needs two degree levels")
+            d1, d2 = spec.table_degrees
+            if d1 < 0 or d2 < 0:
+                raise ValueError("degree levels must be non-negative")
+        # A group past --max-group-order exits 2 even when a factor is also
+        # not coset-minimal, so the walk comes before that check.
         reps = weyl.minimal_coset_reps(c, spec.parabolic, spec.max_group_order)
-        if spec.parabolic:
+        if spec.mode == "expand":
             schubert.ensure_minimal_reps(spec.parabolic, c, u=u, v=v)
-        records = _expansion_records(spec, c, [(u, v)], reps)
-        report["u"] = weyl.element_to_dict(u, c)
-        report["v"] = weyl.element_to_dict(v, c)
-        report["records"] = records
-        report["evaluation"] = _evaluation(u.length, v.length, reps)
-        return report
-
-    if spec.mode == "table":
-        if spec.table_degrees is None:
-            raise ValueError("table mode needs two degree levels")
-        d1, d2 = spec.table_degrees
-        if d1 < 0 or d2 < 0:
-            raise ValueError("degree levels must be non-negative")
-        reps = weyl.minimal_coset_reps(c, spec.parabolic, spec.max_group_order)
-        us = [e for e in reps if e.length == d1]
-        vs = [e for e in reps if e.length == d2]
-        report["degrees"] = [d1, d2]
-        report["records"] = _expansion_records(spec, c, [(x, y) for x in us for y in vs], reps)
-        report["evaluation"] = _evaluation(d1, d2, reps)
+            pairs = [(u, v)]
+            report["u"] = weyl.element_to_dict(u, c)
+            report["v"] = weyl.element_to_dict(v, c)
+        else:
+            us = [e for e in reps if e.length == d1]
+            vs = [e for e in reps if e.length == d2]
+            pairs = [(x, y) for x in us for y in vs]
+            report["degrees"] = [d1, d2]
+        space = schubert.FlagManifold(c, spec.parabolic)
+        report["records"] = _expansion_records(space, pairs, reps, spec.include_zeros)
+        report["evaluation"] = space.evaluation(d1, d2)
         return report
 
     raise ValueError(f"unknown mode {spec.mode!r}")
 
 
-def _solution_sets(poly) -> list[list[int]]:
-    """The solution position sets (1-based, lexicographic) behind a
-    subword sum: one square-free monomial per solution."""
-    return sorted([i + 1 for i, x in enumerate(exps) if x] for exps in poly.terms)
+def _sum_records(solutions, k: int) -> list[dict]:
+    """A subword sum from its solutions, in HomogPoly.as_records form."""
+    exps = sorted(schubert._exponents(L, k) for L in solutions)
+    return [{"exponents": list(e), "coefficient": 1} for e in exps]
 
 
-def _expansion_records(spec, c, pairs, reps) -> list[dict]:
+def _expansion_records(space, pairs, reps, include_zeros: bool) -> list[dict]:
     """Records of every pair's expansion over reps: pair by pair, each in
     the order of reps.  Pairs sharing a target are evaluated together."""
-    words = {e: weyl.reduced_word(e, c) for e in dict.fromkeys(e for pair in pairs for e in pair)}
+    words = {e: weyl.reduced_word(e, space.c) for e in dict.fromkeys(e for pair in pairs for e in pair)}
     blocks: list[list[dict]] = [[] for _ in pairs]
-    for _, w_word, values in schubert.constants_by_target(pairs, reps, c, spec.parabolic):
+    for _, w_word, values in space.constants_by_target(pairs, reps):
         for block, (u, v), value in zip(blocks, pairs, values):
-            if value != 0 or spec.include_zeros:
+            if value != 0 or include_zeros:
                 block.append(_record(words[u], words[v], w_word, value))
     return [rec for block in blocks for rec in block]
-
-
-def _evaluation(u_length, v_length, reps) -> Optional[dict]:
-    """The orientation the constants of factors of these lengths are
-    evaluated in and its target word's length; None when G/P has no class
-    of degree l(u) + l(v), so nothing is evaluated."""
-    dim = reps[-1].length
-    if u_length + v_length > dim:
-        return None
-    orientation, k = schubert.choose_orientation(u_length, v_length, dim)
-    return {"orientation": orientation, "word_length": k}
 
 
 # -- rendering -----------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Independent verification for the type-A Grassmannian case.
+"""Second routes that tests and the selftest check the pipeline against.
 
-Littlewood-Richardson coefficients are counted directly: fillings of the
-skew shape nu/lambda with content mu, rows weakly increasing, columns
-strictly increasing, whose reverse reading word is a ballot sequence.
-Nothing here touches the subword pipeline; that independence is the
-whole point of the module.
+The triangular operator has a closed form: a sum over balanced flow
+matrices (triangular_eval_closed), independent of the recursion in triop.
+
+For the type-A Grassmannian case, Littlewood-Richardson coefficients are
+counted directly: fillings of the skew shape nu/lambda with content mu,
+rows weakly increasing, columns strictly increasing, whose reverse
+reading word is a ballot sequence.  Nothing here touches the subword
+pipeline; that independence is the whole point of the module.
 
 The dictionary between coset-minimal elements of the symmetric group
 and partitions in a box uses the one-line permutation recovered from
@@ -13,8 +16,12 @@ the canonical form, with lambda_j = pi(k+1-j) - (k+1-j).
 
 from __future__ import annotations
 
-from .errors import NotGrassmannianPermutation, SizeMismatch
+from dataclasses import dataclass
+from math import factorial
+
+from .errors import DegreeMismatch, NotGrassmannianPermutation, SizeMismatch
 from .rootsys import CartanMatrix
+from .triop import _matrix_rows
 from .weyl import WeylElement
 
 Partition = tuple[int, ...]
@@ -177,3 +184,93 @@ def grassmannian_dictionary(e: WeylElement, k: int, c: CartanMatrix) -> Partitio
     if sum(lam) != e.length:
         raise ValueError(f"partition {lam} of {e.rho_image} does not have size l={e.length}")
     return lam
+
+
+@dataclass(frozen=True)
+class FlowMatrix:
+    """Strictly upper-triangular non-negative matrix balancing an
+    exponent vector: column sum i = r_i - 1 + row sum i for every i."""
+
+    k: int
+    entries: tuple[tuple[int, ...], ...]
+
+    def column_sum(self, j: int) -> int:
+        return sum(self.entries[i][j] for i in range(self.k))
+
+    def row_sum(self, i: int) -> int:
+        return sum(self.entries[i])
+
+    def balances(self, r) -> bool:
+        exps = tuple(r)
+        return all(
+            self.column_sum(i) == exps[i] - 1 + self.row_sum(i) for i in range(self.k)
+        )
+
+
+def flow_matrices(r) -> list[FlowMatrix]:
+    """All flow matrices balancing r, columns filled left to right and
+    entries enumerated lexicographically."""
+    exps = tuple(r)
+    k = len(exps)
+    out: list[FlowMatrix] = []
+    cols: list[tuple[int, ...]] = []
+    rem: list[int] = []  # unplaced row budget of completed columns
+
+    def fill_column(j, i, col, colsum):
+        if i == j:
+            budget = colsum - exps[j] + 1
+            if budget < 0:
+                return
+            rem.append(budget)
+            cols.append(tuple(col))
+            descend(j + 1)
+            rem.pop()
+            cols.pop()
+            return
+        for v in range(rem[i] + 1):
+            rem[i] -= v
+            col.append(v)
+            fill_column(j, i + 1, col, colsum + v)
+            col.pop()
+            rem[i] += v
+
+    def descend(j):
+        if j == k:
+            if all(x == 0 for x in rem):
+                entries = tuple(
+                    tuple(cols[b][a] if a < b else 0 for b in range(k))
+                    for a in range(k)
+                )
+                out.append(FlowMatrix(k, entries))
+            return
+        fill_column(j, 0, [], 0)
+
+    descend(0)
+    return out
+
+
+def triangular_eval_closed(a, r) -> int:
+    """Closed-form evaluation on the monomial with exponent vector r:
+    sum over balanced flow matrices of the product of column-wise
+    multinomials times matrix entries raised to the flow values."""
+    rows = _matrix_rows(a)
+    exps = tuple(r)
+    k = len(rows)
+    if len(exps) != k or any(x < 0 for x in exps):
+        raise DegreeMismatch(f"exponent vector {exps} does not fit a {k}x{k} matrix")
+    if sum(exps) != k:
+        raise DegreeMismatch(f"exponent vector {exps} has degree {sum(exps)}, expected {k}")
+    total = 0
+    for fm in flow_matrices(exps):
+        term = 1
+        for j in range(k):
+            colsum = 0
+            denom = 1
+            for i in range(j):
+                cij = fm.entries[i][j]
+                colsum += cij
+                denom *= factorial(cij)
+                term *= rows[i][j] ** cij
+            term = term * factorial(colsum) // denom
+        total += term
+    return total

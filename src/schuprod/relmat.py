@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import NotReduced
 from .rootsys import CartanMatrix
-from .weyl import element_of_word
+from .weyl import WeylElement, element_of_word
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,21 @@ def cartan_matrix_of_word(word, c: CartanMatrix) -> RelativeCartanMatrix:
     return relative_matrix_of_letters(_reduced_letters(word, c), c)
 
 
-def _reduced_letters(word, c: CartanMatrix) -> tuple[int, ...]:
-    """The word's letters, after checking that the word is reduced by
-    comparing its length with the exact length of the element it spells.
-    The one reducedness check of the package."""
+def element_of_reduced_word(word, c: CartanMatrix) -> WeylElement:
+    """The element a word spells, after checking that the word is reduced
+    by comparing its length with the exact length of that element.  The
+    one reducedness check of the package."""
     letters = tuple(word)
-    if element_of_word(letters, c).length != len(letters):
+    e = element_of_word(letters, c)
+    if e.length != len(letters):
         raise NotReduced(f"word {letters} is not reduced")
+    return e
+
+
+def _reduced_letters(word, c: CartanMatrix) -> tuple[int, ...]:
+    """The word's letters, checked to be reduced."""
+    letters = tuple(word)
+    element_of_reduced_word(letters, c)
     return letters
 
 

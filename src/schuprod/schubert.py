@@ -20,16 +20,17 @@ lands on the identity by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import add
 from typing import Optional
 
 from .errors import LengthMismatch, NegativeConstant, NotMinimalRep
 from .relmat import RelativeCartanMatrix, _reduced_letters, relative_matrix_of_letters
 from .rootsys import CartanMatrix
-from .triop import HomogPoly, triangular_eval_many
+from .triop import HomogPoly, eliminate
 from .weyl import (
     ParabolicSubset,
     WeylElement,
-    element_of_word,  # not called here; kept as schubert.element_of_word, which tests patch
     is_minimal_rep,
     left_multiply,
     longest_element,
@@ -88,18 +89,18 @@ def _solutions(letters, target: WeylElement, c: CartanMatrix) -> list[tuple[int,
 
 def subword_sum(word, target: WeylElement, c: CartanMatrix) -> HomogPoly:
     """The square-free polynomial summing x_L over all solutions."""
-    return _sum(_reduced_letters(word, c), target, c)
-
-
-def _sum(letters, target: WeylElement, c: CartanMatrix) -> HomogPoly:
+    letters = _reduced_letters(word, c)
     k = len(letters)
-    terms = {}
-    for positions in _solutions(letters, target, c):
-        exps = [0] * k
-        for pos in positions:
-            exps[pos - 1] = 1
-        terms[tuple(exps)] = 1
+    terms = {_exponents(positions, k): 1 for positions in _solutions(letters, target, c)}
     return HomogPoly(k, target.length, terms)
+
+
+def _exponents(positions, k: int) -> tuple[int, ...]:
+    """The exponent vector of x_L for a solution L (1-based positions)."""
+    exps = [0] * k
+    for pos in positions:
+        exps[pos - 1] = 1
+    return tuple(exps)
 
 
 def structure_constants_for_word(word, pairs, c: CartanMatrix) -> list[int]:
@@ -107,7 +108,7 @@ def structure_constants_for_word(word, pairs, c: CartanMatrix) -> list[int]:
     (u, v) of pairs, evaluated with exactly that word.
 
     The word is checked once, its relative matrix built once, each
-    distinct factor's subword sum computed once, and all products go
+    distinct factor's subword equations solved once, and all products go
     through one batched elimination of the triangular operator.  The
     value depends only on the element (tested, not assumed); evaluating
     with the caller's word lets the CLI display the decomposition the
@@ -118,33 +119,37 @@ def structure_constants_for_word(word, pairs, c: CartanMatrix) -> list[int]:
 
 def _evaluate(
     word, pairs, c: CartanMatrix
-) -> tuple[list[int], RelativeCartanMatrix, dict[WeylElement, HomogPoly]]:
+) -> tuple[list[int], RelativeCartanMatrix, dict[WeylElement, list[tuple[int, ...]]]]:
     """structure_constants_for_word, plus the working it went through: the
-    word's relative matrix and each distinct factor's subword sum."""
+    word's relative matrix and each distinct factor's solutions.  Products
+    go straight into the operator's merged form (triop.eliminate)."""
     letters = _reduced_letters(word, c)
+    k = len(letters)
     pairs = list(pairs)
     for u, v in pairs:
-        if len(letters) != u.length + v.length:
-            raise LengthMismatch(
-                f"word length {len(letters)} but l(u)+l(v)={u.length + v.length}"
-            )
-    sums: dict[WeylElement, HomogPoly] = {}
+        if k != u.length + v.length:
+            raise LengthMismatch(f"word length {k} but l(u)+l(v)={u.length + v.length}")
+    solutions: dict[WeylElement, list[tuple[int, ...]]] = {}
     for factor in (x for pair in pairs for x in pair):
-        if factor not in sums:
-            sums[factor] = _sum(letters, factor, c)
-    batch = [
-        j for j, (u, v) in enumerate(pairs) if not (sums[u].is_zero or sums[v].is_zero)
-    ]
-    products = [sums[pairs[j][0]] * sums[pairs[j][1]] for j in batch]
+        if factor not in solutions:
+            solutions[factor] = _solutions(letters, factor, c)
+    exponents = {x: [_exponents(L, k) for L in sols] for x, sols in solutions.items()}
+    batch = [j for j, (u, v) in enumerate(pairs) if solutions[u] and solutions[v]]
+    terms: dict[tuple, list[int]] = {}
+    for slot, j in enumerate(batch):
+        u, v = pairs[j]
+        for e1 in exponents[u]:
+            for e2 in exponents[v]:
+                terms.setdefault(tuple(map(add, e1, e2)), [0] * len(batch))[slot] += 1
     a = relative_matrix_of_letters(letters, c)
     values = [0] * len(pairs)
-    for j, value in zip(batch, triangular_eval_many(a, products)):
+    for j, value in zip(batch, eliminate(a.entries, terms, len(batch))):
         # Intersection theory makes valid constants non-negative; a
         # negative value can only mean a bug upstream.
         if value < 0:
             raise NegativeConstant(f"negative structure constant {value} for word {letters}")
         values[j] = value
-    return values, a, sums
+    return values, a, solutions
 
 
 def structure_constant_for_word(
@@ -173,63 +178,59 @@ def choose_orientation(u_length: int, v_length: int, dim: int) -> tuple[str, int
     return ORIENTATIONS[lengths.index(shortest)], shortest
 
 
-def _constants_on(targets, pairs, dim: int, c: CartanMatrix, parabolic):
-    """The reduced word of each target w, and values[i][j], the constant
-    of pairs[j] on targets[i], for coset-minimal elements of G/P of
-    dimension dim.
+class FlagManifold:
+    """G/P for one Cartan matrix and (validated) parabolic subset: the one
+    place that knows its dimension dim = l(w0) - l(w0_P), its Poincaré
+    duals and the orientation each structure constant is evaluated in."""
 
-    Each pair is evaluated in the orientation choose_orientation picks,
-    with one batched elimination per target word: the word of w for the
-    direct pairs, whose factors are (u, v), and the word of u∨ (or v∨)
-    for the dual ones.  w0 and w0_P are computed only when a dual
-    orientation wins.
-    """
-    words = {w: reduced_word(w, c) for w in targets}
-    values = [[0] * len(pairs) for _ in targets]
-    orientations = [choose_orientation(u.length, v.length, dim)[0] for u, v in pairs]
-    if any(o != "direct" for o in orientations):
-        w0 = longest_element(c)
-        w0_p = longest_element(c, ParabolicSubset.of(parabolic).indices)
-    duals: dict[WeylElement, WeylElement] = {}
+    def __init__(self, c: CartanMatrix, parabolic=()):
+        self.c = c
+        self.parabolic = ParabolicSubset.of(parabolic)
+        self.parabolic.validate(c)
+        w0, w0_p = longest_element(c), longest_element(c, self.parabolic.indices)
+        self.dim = w0.length - w0_p.length
+        # dual(x) = x∨ = w0·x·w0_P, whose class is Poincaré dual to that of x.
+        self.dual = cache(lambda x: poincare_dual(x, w0, w0_p, c))
 
-    def dual(x):
-        if x not in duals:
-            duals[x] = poincare_dual(x, w0, w0_p, c)
-        return duals[x]
+    def evaluation(self, u_length: int, v_length: int) -> Optional[dict]:
+        """The orientation the constants of factors of these lengths are
+        evaluated in and its target word's length; None when there is no
+        class of degree l(u) + l(v), so nothing is evaluated."""
+        if u_length + v_length > self.dim:
+            return None
+        orientation, k = choose_orientation(u_length, v_length, self.dim)
+        return {"orientation": orientation, "word_length": k}
 
-    batches: dict[WeylElement, list] = {}
-    for j, ((u, v), orientation) in enumerate(zip(pairs, orientations)):
-        x, y = (u, v) if orientation == "dual_u" else (v, u)
-        for i, w in enumerate(targets):
-            target, pair = (w, (u, v)) if orientation == "direct" else (dual(x), (y, dual(w)))
-            batches.setdefault(target, []).append(((i, j), pair))
-    for target, batch in batches.items():
-        word = words[target] if target in words else reduced_word(target, c)
-        constants = structure_constants_for_word(word, [pair for _, pair in batch], c)
-        for ((i, j), _), value in zip(batch, constants):
-            values[i][j] = value
-    return [words[w] for w in targets], values
+    def constants_by_target(self, pairs, reps) -> list:
+        """For each w among reps of length l(u) + l(v), a length the pairs
+        must share, (w, reduced word of w, the constants of the pairs on
+        w), in the order of reps.
 
-
-def constants_by_target(pairs, reps, c: CartanMatrix, parabolic=()) -> list:
-    """For each w among reps of length l(u) + l(v), a length the pairs
-    must share, (w, reduced word of w, the constants of the pairs on w),
-    in the order of reps.
-
-    reps are all the minimal coset representatives of the parabolic
-    subset (weyl.minimal_coset_reps); the last one is the longest, so its
-    length is the dimension of G/P.  Each constant is evaluated in the
-    orientation choose_orientation picks.
-    """
-    pairs = list(pairs)
-    degrees = {u.length + v.length for u, v in pairs}
-    if len(degrees) > 1:
-        raise LengthMismatch(f"pairs of different degrees {sorted(degrees)}")
-    targets = [w for w in reps if w.length in degrees]
-    if not targets:
-        return []
-    words, values = _constants_on(targets, pairs, reps[-1].length, c, parabolic)
-    return list(zip(targets, words, values))
+        Each pair is evaluated in the orientation choose_orientation
+        picks, with one batched elimination per target word: the word of
+        w for the direct pairs, whose factors are (u, v), and the word of
+        u∨ (or v∨) for the dual ones.
+        """
+        pairs = list(pairs)
+        degrees = {u.length + v.length for u, v in pairs}
+        if len(degrees) > 1:
+            raise LengthMismatch(f"pairs of different degrees {sorted(degrees)}")
+        targets = [w for w in reps if w.length in degrees]
+        words = {w: reduced_word(w, self.c) for w in targets}
+        values = [[0] * len(pairs) for _ in targets]
+        batches: dict[WeylElement, list] = {}
+        for j, (u, v) in enumerate(pairs):
+            orientation = choose_orientation(u.length, v.length, self.dim)[0]
+            x, y = (u, v) if orientation == "dual_u" else (v, u)
+            for i, w in enumerate(targets):
+                target, pair = (w, (u, v)) if orientation == "direct" else (self.dual(x), (y, self.dual(w)))
+                batches.setdefault(target, []).append(((i, j), pair))
+        for target, batch in batches.items():
+            word = words[target] if target in words else reduced_word(target, self.c)
+            constants = structure_constants_for_word(word, [pair for _, pair in batch], self.c)
+            for ((i, j), _), value in zip(batch, constants):
+                values[i][j] = value
+        return [(w, words[w], row) for w, row in zip(targets, values)]
 
 
 def structure_constant(
@@ -254,9 +255,7 @@ def structure_constant(
         raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
     if parabolic is None:
         return structure_constant_for_word(reduced_word(w, c), u, v, c)
-    indices = ParabolicSubset.of(parabolic).indices
-    dim = longest_element(c).length - longest_element(c, indices).length
-    return _constants_on([w], [(u, v)], dim, c, parabolic)[1][0][0]
+    return FlagManifold(c, parabolic).constants_by_target([(u, v)], [w])[0][2][0]
 
 
 def ensure_minimal_reps(parabolic, c, **elements):
@@ -284,9 +283,10 @@ def product_expansion(
     """
     if parabolic is not None:
         ensure_minimal_reps(parabolic, c, u=u, v=v)
-    reps = minimal_coset_reps(c, parabolic or (), max_order)
+    space = FlagManifold(c, parabolic or ())
+    reps = minimal_coset_reps(c, space.parabolic, max_order)
     return [
         StructureConstant(u, v, w, value)
-        for w, _, (value,) in constants_by_target([(u, v)], reps, c, parabolic or ())
+        for w, _, (value,) in space.constants_by_target([(u, v)], reps)
         if value != 0 or include_zeros
     ]

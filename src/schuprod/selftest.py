@@ -159,7 +159,7 @@ def run_selftest(rng_seed: int = 90721) -> list[CheckResult]:
         for _ in range(k):
             exps[rng.randrange(k)] += 1
         rec_val = triop.triangular_eval(rows, triop.HomogPoly.monomial(k, exps))
-        ok = ok and rec_val == triop.triangular_eval_closed(rows, exps)
+        ok = ok and rec_val == oracles.triangular_eval_closed(rows, exps)
     _check(results, "cross-oracle-agreement", ok, "recursive vs closed form")
 
     # Degree-one products on the 4-space Grassmannian against tableau counts.

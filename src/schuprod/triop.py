@@ -10,28 +10,26 @@ expansion f = sum_r h_r * x_k^r with h_r free of x_k:
   3. h * x_k^r with r >= 1 reduces to the rank-(k-1) evaluation of
      h * (a_{1,k} x_1 + ... + a_{k-1,k} x_{k-1})^(r-1).
 
-Two independent evaluation routes are provided: the recursion above
-(triangular_eval, triangular_eval_many) and a closed-form sum over
-balanced flow matrices (triangular_eval_closed).  They must agree
-exactly; tests fuzz that.
+This module implements the recursion above (triangular_eval,
+triangular_eval_many); the independent closed-form route over balanced
+flow matrices lives with the other oracles (oracles.triangular_eval_closed),
+and tests fuzz that the two agree exactly.
 
 The recursion runs on plain dicts from exponent tuples to coefficient
 vectors, one entry per input polynomial, so several polynomials on the
-same matrix share one elimination (the operator is linear).  Each level
-applies law 3 by Horner's rule, one multiplication by the elimination
-form per step.  It also prunes: once a proper prefix x_1..x_i of a
-monomial carries degree above i, later steps can only raise it, so the
-monomial cannot reach law 2 and is dropped as it appears
-(vanishing_filter states the test; law 1 is its longest prefix).
+same matrix share one elimination (the operator is linear; eliminate
+takes that dict directly).  Each level applies law 3 by Horner's rule,
+one multiplication by the elimination form per step.  It also prunes:
+once a proper prefix x_1..x_i of a monomial carries degree above i,
+later steps can only raise it, so the monomial cannot reach law 2 and is
+dropped as it appears (vanishing_filter states the test; law 1 is its
+longest prefix).
 
 All coefficients are native ints, which are arbitrary precision, so the
 exactness contract holds with no overflow concerns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from math import factorial
 
 from .errors import DegreeMismatch, VariableCountMismatch
 
@@ -209,9 +207,16 @@ def triangular_eval_many(a, polys) -> list[int]:
         if p.degree != k:
             raise DegreeMismatch(f"degree {p.degree} polynomial, expected degree {k}")
         for exps, coeff in p.terms.items():
-            if not vanishing_filter(exps):
-                terms.setdefault(exps, [0] * n)[j] += coeff
-    for m in range(k - 1, -1, -1):
+            terms.setdefault(exps, [0] * n)[j] += coeff
+    return eliminate(rows, terms, n)
+
+
+def eliminate(rows, terms: dict, n: int) -> list[int]:
+    """The operator of the strictly upper-triangular rows on each of n
+    degree-k polynomials merged into terms: exponent tuple -> list of n
+    coefficients, k = len(rows)."""
+    terms = {e: vec for e, vec in terms.items() if not vanishing_filter(e)}
+    for m in range(len(rows) - 1, -1, -1):
         if not terms:
             break
         terms = _eliminate_last(rows, m, terms)
@@ -279,93 +284,3 @@ def vanishing_filter(r) -> bool:
         if total > i + 1:
             return True
     return False
-
-
-@dataclass(frozen=True)
-class FlowMatrix:
-    """Strictly upper-triangular non-negative matrix balancing an
-    exponent vector: column sum i = r_i - 1 + row sum i for every i."""
-
-    k: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def column_sum(self, j: int) -> int:
-        return sum(self.entries[i][j] for i in range(self.k))
-
-    def row_sum(self, i: int) -> int:
-        return sum(self.entries[i])
-
-    def balances(self, r) -> bool:
-        exps = tuple(r)
-        return all(
-            self.column_sum(i) == exps[i] - 1 + self.row_sum(i) for i in range(self.k)
-        )
-
-
-def flow_matrices(r) -> list[FlowMatrix]:
-    """All flow matrices balancing r, columns filled left to right and
-    entries enumerated lexicographically."""
-    exps = tuple(r)
-    k = len(exps)
-    out: list[FlowMatrix] = []
-    cols: list[tuple[int, ...]] = []
-    rem: list[int] = []  # unplaced row budget of completed columns
-
-    def fill_column(j, i, col, colsum):
-        if i == j:
-            budget = colsum - exps[j] + 1
-            if budget < 0:
-                return
-            rem.append(budget)
-            cols.append(tuple(col))
-            descend(j + 1)
-            rem.pop()
-            cols.pop()
-            return
-        for v in range(rem[i] + 1):
-            rem[i] -= v
-            col.append(v)
-            fill_column(j, i + 1, col, colsum + v)
-            col.pop()
-            rem[i] += v
-
-    def descend(j):
-        if j == k:
-            if all(x == 0 for x in rem):
-                entries = tuple(
-                    tuple(cols[b][a] if a < b else 0 for b in range(k))
-                    for a in range(k)
-                )
-                out.append(FlowMatrix(k, entries))
-            return
-        fill_column(j, 0, [], 0)
-
-    descend(0)
-    return out
-
-
-def triangular_eval_closed(a, r) -> int:
-    """Closed-form evaluation on the monomial with exponent vector r:
-    sum over balanced flow matrices of the product of column-wise
-    multinomials times matrix entries raised to the flow values."""
-    rows = _matrix_rows(a)
-    exps = tuple(r)
-    k = len(rows)
-    if len(exps) != k or any(x < 0 for x in exps):
-        raise DegreeMismatch(f"exponent vector {exps} does not fit a {k}x{k} matrix")
-    if sum(exps) != k:
-        raise DegreeMismatch(f"exponent vector {exps} has degree {sum(exps)}, expected {k}")
-    total = 0
-    for fm in flow_matrices(exps):
-        term = 1
-        for j in range(k):
-            colsum = 0
-            denom = 1
-            for i in range(j):
-                cij = fm.entries[i][j]
-                colsum += cij
-                denom *= factorial(cij)
-                term *= rows[i][j] ** cij
-            term = term * factorial(colsum) // denom
-        total += term
-    return total

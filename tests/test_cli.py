@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from schuprod import cartan_matrix_by_name, cli, relmat, schubert, structure_constant, weyl
+from schuprod import (
+    cartan_matrix_by_name,
+    cli,
+    product_expansion,
+    relmat,
+    schubert,
+    structure_constant,
+    triop,
+    weyl,
+)
 from schuprod.cli import main
 
 
@@ -279,7 +288,7 @@ def test_table_matches_per_triple_constants(capsys, name, parabolic, degrees):
 
 
 def test_negative_constant_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(schubert, "triangular_eval_many", lambda a, polys: [-1] * len(polys))
+    monkeypatch.setattr(schubert, "eliminate", lambda rows, terms, n: [-1] * n)
     code, out, err = run_cli(capsys, "--type", "A2", "--u", "1", "--v", "2", "--expand")
     assert code == 2 and out == ""
     assert err.startswith("error: negative structure constant -1")
@@ -416,7 +425,7 @@ def test_constant_mode_spells_each_word_once(capsys, monkeypatch, argv, calls, e
         seen.append(tuple(word))
         return original(word, c)
 
-    for module in (weyl, relmat, schubert, cli):
+    for module in (weyl, relmat, cli):
         monkeypatch.setattr(module, "element_of_word", counting)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == expected
@@ -484,3 +493,60 @@ def test_malformed_matrix_is_an_input_error(tmp_path, capsys, matrix, form):
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _job_argv(tmp_path, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    return ["--job", str(path)]
+
+
+@pytest.mark.parametrize("form", ["flag", "job-file"])
+def test_repeated_parabolic_index_is_an_input_error(tmp_path, capsys, form):
+    if form == "flag":
+        argv = ["--type", "A3", "--parabolic", "1,1", "--table", "1", "1", "--json"]
+    else:
+        argv = _job_argv(tmp_path, {"group": "A3", "mode": "table", "table": [1, 1], "parabolic": [2, 2]})
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: parabolic indices must be distinct")
+
+
+@pytest.mark.parametrize("factor", ["u", "v"])
+@pytest.mark.parametrize("mode", ["constant", "expand"])
+@pytest.mark.parametrize("form", ["flag", "job-file"])
+def test_non_reduced_factor_word_is_an_input_error(tmp_path, capsys, factor, mode, form):
+    # s1·s1 is the identity: the word 1,1 is not a reduced word of anything.
+    words = {"u": "2", "v": "2", **({"w": "2"} if mode == "constant" else {})}
+    words[factor] = "1,1"
+    if form == "flag":
+        argv = ["--type", "A3", *(f"--{k}={x}" for k, x in words.items())]
+        argv += ["--expand"] if mode == "expand" else []
+    else:
+        argv = _job_argv(tmp_path, {"group": "A3", "mode": mode, **words})
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: word (1, 1) is not reduced\n"
+
+
+def test_table_and_expansion_build_no_polynomial_objects(capsys, monkeypatch):
+    # Products go straight into the operator's merged form; no HomogPoly is
+    # made on the table, expand or product_expansion paths, in any orientation.
+    def refuse(*args, **kwargs):
+        raise AssertionError("HomogPoly built")
+
+    monkeypatch.setattr(triop.HomogPoly, "__init__", refuse)
+    g2 = cartan_matrix_by_name("G2")
+    for u_word, v_word, expected in [
+        ((1,), (2,), {(1, 2): 1, (2, 1): 1}),  # direct
+        ((1, 2, 1, 2), (1,), {(1, 2, 1, 2, 1): 1, (2, 1, 2, 1, 2): 3}),  # dual_u
+        ((1,), (2, 1, 2, 1), {(1, 2, 1, 2, 1): 1}),  # dual_v
+    ]:
+        u, v = weyl.element_of_word(u_word, g2), weyl.element_of_word(v_word, g2)
+        terms = product_expansion(u, v, g2)
+        assert {weyl.reduced_word(t.w, g2): t.value for t in terms} == expected
+    code, out, _ = run_cli(capsys, "--type", "B3", "--parabolic", "2,3", "--table", "1", "2")
+    assert code == 0 and out == "P[1] * P[2,1] = 2*P[3,2,1]\n"
+    code, out, _ = run_cli(capsys, "--type", "G2", "--u", "2,1,2", "--v", "1,2", "--expand")
+    assert code == 0 and out == "P[2,1,2] * P[1,2] = P[2,1,2,1,2]\n"

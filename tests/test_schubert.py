@@ -22,7 +22,7 @@ from schuprod import (
     subword_sum,
 )
 from schuprod import relmat, schubert, weyl
-from schuprod.schubert import ORIENTATIONS, choose_orientation, constants_by_target
+from schuprod.schubert import ORIENTATIONS, FlagManifold, choose_orientation
 from schuprod.weyl import identity, longest_element, poincare_dual
 
 
@@ -369,14 +369,14 @@ def test_constants_for_word_checks_reducedness_once(g2, monkeypatch):
         calls.append(tuple(word))
         return original(word, c)
 
-    for module in (schubert, relmat, weyl):
+    for module in (relmat, weyl):
         monkeypatch.setattr(module, "element_of_word", counting)
     assert structure_constants_for_word(w_word, pairs, g2) == expected
     assert calls == [w_word]
 
 
 def test_negative_value_raises(g2, g2_data, monkeypatch):
-    monkeypatch.setattr(schubert, "triangular_eval_many", lambda a, polys: [-1] * len(polys))
+    monkeypatch.setattr(schubert, "eliminate", lambda rows, terms, n: [-1] * n)
     with pytest.raises(NegativeConstant, match="-1"):
         structure_constant_for_word(W_WORD, g2_data["u"], g2_data["v"], g2)
 
@@ -428,9 +428,9 @@ DUALITY_CASES = [
 def test_poincare_duality_orientations_agree(name, parabolic, top):
     # a^w_{u,v} = a^{u∨}_{v,w∨} = a^{v∨}_{u,w∨}, each evaluated literally on
     # the word of its own target, for every triple up to degree top; and the
-    # chosen orientation behind constants_by_target matches the literal
-    # route on every degree pair.  Multiply-laced types pin the entry order
-    # of the relative matrices on the dual words too.
+    # chosen orientation behind FlagManifold.constants_by_target matches the
+    # literal route on every degree pair.  Multiply-laced types pin the entry
+    # order of the relative matrices on the dual words too.
     c = cartan_matrix_by_name(name)
     reps = minimal_coset_reps(c, parabolic)
     dim = reps[-1].length
@@ -456,7 +456,7 @@ def test_poincare_duality_orientations_agree(name, parabolic, top):
         for d2 in range(top + 1 - d1):
             pairs = [(u, v) for u in by_length[d1] for v in by_length[d2]]
             chosen.add(choose_orientation(d1, d2, dim)[0])
-            for w, word, values in constants_by_target(pairs, reps, c, parabolic):
+            for w, word, values in FlagManifold(c, parabolic).constants_by_target(pairs, reps):
                 assert word == reduced_word(w, c)
                 assert values == [literal[u, v, w] for u, v in pairs]
     assert chosen == (set(ORIENTATIONS) if top == dim else {"direct"})
@@ -488,6 +488,6 @@ def test_parabolic_structure_constant_uses_the_chosen_orientation(monkeypatch):
 def test_negative_value_raises_in_every_orientation(g2, monkeypatch, u_word, v_word, orientation):
     u, v = element_of_word(u_word, g2), element_of_word(v_word, g2)
     assert choose_orientation(u.length, v.length, 6)[0] == orientation
-    monkeypatch.setattr(schubert, "triangular_eval_many", lambda a, polys: [-1] * len(polys))
+    monkeypatch.setattr(schubert, "eliminate", lambda rows, terms, n: [-1] * n)
     with pytest.raises(NegativeConstant, match="-1"):
         product_expansion(u, v, g2)
