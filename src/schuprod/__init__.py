@@ -65,7 +65,6 @@ from .weyl import (
     all_reduced_words,
     element_of_word,
     enumerate_group,
-    length,
     minimal_coset_reps,
     reduced_word,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "flow_matrices",
     "format_partition",
     "grassmannian_dictionary",
-    "length",
     "lr_coefficient",
     "minimal_coset_reps",
     "parse_partition",

@@ -154,16 +154,13 @@ def job_from_file(path: str, args) -> JobSpec:
         group=matrix,
         parabolic=tuple(sorted(_parse_job_word(raw.get("parabolic", []), "parabolic"))),
         mode=mode,
+        u_word=_parse_job_word(raw["u"], "u") if "u" in raw else None,
+        v_word=_parse_job_word(raw["v"], "v") if "v" in raw else None,
+        w_word=_parse_job_word(raw["w"], "w") if "w" in raw else None,
         include_zeros=include_zeros,
         verbose=args.verbose,
         max_group_order=args.max_group_order,
     )
-    if "u" in raw:
-        spec.u_word = _parse_job_word(raw["u"], "u")
-    if "v" in raw:
-        spec.v_word = _parse_job_word(raw["v"], "v")
-    if "w" in raw:
-        spec.w_word = _parse_job_word(raw["w"], "w")
     if "table" in raw:
         degrees = raw["table"]
         if not (isinstance(degrees, list) and len(degrees) == 2 and all(type(d) is int for d in degrees)):
@@ -195,25 +192,20 @@ def job_from_args(args) -> JobSpec:
             mode = "constant"
         else:
             raise ValueError("no action requested (use --w, --expand, --table or --selftest)")
-    spec = JobSpec(
+    return JobSpec(
         group=matrix,
         parabolic=tuple(sorted(weyl.parse_word(args.parabolic))) if args.parabolic else (),
         mode=mode,
+        u_word=None if args.u is None else weyl.parse_word(args.u),
+        v_word=None if args.v is None else weyl.parse_word(args.v),
+        w_word=None if args.w is None else weyl.parse_word(args.w),
+        table_degrees=tuple(args.table) if args.table else None,
         include_zeros=args.include_zeros,
         verbose=args.verbose,
         max_group_order=args.max_group_order,
         echo_matrix=args.echo_matrix,
         show_matrix=args.show_matrix,
     )
-    if args.u is not None:
-        spec.u_word = weyl.parse_word(args.u)
-    if args.v is not None:
-        spec.v_word = weyl.parse_word(args.v)
-    if args.w is not None:
-        spec.w_word = weyl.parse_word(args.w)
-    if args.table:
-        spec.table_degrees = (args.table[0], args.table[1])
-    return spec
 
 
 # -- execution -----------------------------------------------------------
@@ -230,8 +222,8 @@ def _record(u_word, v_word, w_word, value) -> dict:
 
 def run(spec: JobSpec) -> dict:
     c = spec.group
-    if len(set(spec.parabolic)) != len(spec.parabolic):
-        raise ValueError(f"parabolic indices must be distinct, got {weyl.format_word(spec.parabolic)}")
+    # Built before any mode runs, so inspect mode refuses repeated indices too.
+    parabolic = weyl.ParabolicSubset.of(spec.parabolic)
     report: dict = {
         "format_version": 1,
         "mode": spec.mode,
@@ -255,7 +247,7 @@ def run(spec: JobSpec) -> dict:
         u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
         if spec.parabolic:
             w = element_of_word(spec.w_word, c)
-            schubert.ensure_minimal_reps(spec.parabolic, c, u=u, v=v, w=w)
+            schubert.FlagManifold(c, parabolic).check_reps(u=u, v=v, w=w)
         # Evaluate with the caller's decomposition so the verbose data
         # describes exactly what was computed; the word is checked once.
         (value,), matrix, solutions = schubert._evaluate(spec.w_word, [(u, v)], c)
@@ -279,27 +271,24 @@ def run(spec: JobSpec) -> dict:
                 raise ValueError("expand mode needs --u and --v")
             u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
             d1, d2 = u.length, v.length
+            space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
+            # A group past --max-group-order exits 2 even when a factor is
+            # also not coset-minimal, so the walk comes before that check.
+            space.level(0)
+            space.check_reps(u=u, v=v)
+            pairs = [(u, v)]
+            report["u"] = weyl.element_to_dict(u, c)
+            report["v"] = weyl.element_to_dict(v, c)
         else:
             if spec.table_degrees is None:
                 raise ValueError("table mode needs two degree levels")
             d1, d2 = spec.table_degrees
             if d1 < 0 or d2 < 0:
                 raise ValueError("degree levels must be non-negative")
-        # A group past --max-group-order exits 2 even when a factor is also
-        # not coset-minimal, so the walk comes before that check.
-        reps = weyl.minimal_coset_reps(c, spec.parabolic, spec.max_group_order)
-        if spec.mode == "expand":
-            schubert.ensure_minimal_reps(spec.parabolic, c, u=u, v=v)
-            pairs = [(u, v)]
-            report["u"] = weyl.element_to_dict(u, c)
-            report["v"] = weyl.element_to_dict(v, c)
-        else:
-            us = [e for e in reps if e.length == d1]
-            vs = [e for e in reps if e.length == d2]
-            pairs = [(x, y) for x in us for y in vs]
+            space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
+            pairs = [(x, y) for x in space.level(d1) for y in space.level(d2)]
             report["degrees"] = [d1, d2]
-        space = schubert.FlagManifold(c, spec.parabolic)
-        report["records"] = _expansion_records(space, pairs, reps, spec.include_zeros)
+        report["records"] = _expansion_records(space, pairs, spec.include_zeros)
         report["evaluation"] = space.evaluation(d1, d2)
         return report
 
@@ -312,15 +301,14 @@ def _sum_records(solutions, k: int) -> list[dict]:
     return [{"exponents": list(e), "coefficient": 1} for e in exps]
 
 
-def _expansion_records(space, pairs, reps, include_zeros: bool) -> list[dict]:
-    """Records of every pair's expansion over reps: pair by pair, each in
-    the order of reps.  Pairs sharing a target are evaluated together."""
-    words = {e: weyl.reduced_word(e, space.c) for e in dict.fromkeys(e for pair in pairs for e in pair)}
+def _expansion_records(space, pairs, include_zeros: bool) -> list[dict]:
+    """Records of every pair's expansion, pair by pair, each in canonical
+    order.  Pairs sharing a target are evaluated together."""
     blocks: list[list[dict]] = [[] for _ in pairs]
-    for _, w_word, values in space.constants_by_target(pairs, reps):
+    for w, values in space.constants_by_target(pairs):
         for block, (u, v), value in zip(blocks, pairs, values):
             if value != 0 or include_zeros:
-                block.append(_record(words[u], words[v], w_word, value))
+                block.append(_record(space.word(u), space.word(v), space.word(w), value))
     return [rec for block in blocks for rec in block]
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DegreeMismatch, NotGrassmannianPermutation, SizeMismatch
-from .rootsys import CartanMatrix
+from .rootsys import CartanMatrix, Root, positive_roots, reflect_root
 from .triop import _matrix_rows
-from .weyl import WeylElement
+from .weyl import WeylElement, element_of_word, reduced_word
 
 Partition = tuple[int, ...]
 
@@ -184,6 +184,23 @@ def grassmannian_dictionary(e: WeylElement, k: int, c: CartanMatrix) -> Partitio
     if sum(lam) != e.length:
         raise ValueError(f"partition {lam} of {e.rho_image} does not have size l={e.length}")
     return lam
+
+
+def inverse(e: WeylElement, c: CartanMatrix) -> WeylElement:
+    return element_of_word(tuple(reversed(reduced_word(e, c))), c)
+
+
+def root_image(e: WeylElement, root, c: CartanMatrix) -> Root:
+    """e acting on a root (simple-root coordinates)."""
+    coords = root.coords if isinstance(root, Root) else tuple(root)
+    for letter in reversed(reduced_word(e, c)):
+        coords = reflect_root(letter, coords, c)
+    return Root(coords)
+
+
+def inversion_count(e: WeylElement, c: CartanMatrix) -> int:
+    """Number of positive roots sent negative by e."""
+    return sum(1 for b in positive_roots(c) if not root_image(e, b, c).is_positive)
 
 
 @dataclass(frozen=True)

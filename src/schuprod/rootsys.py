@@ -19,6 +19,10 @@ from .errors import NotCartan, NotFiniteType
 # Off-diagonal Cartan numbers of finite type.
 _ALLOWED_OFF_DIAGONAL = (0, -1, -2, -3)
 
+# The largest rank accepted.  Validation is O(rank^3) and a named type
+# builds rank^2 cells, so larger inputs are refused before either.
+MAX_RANK = 500
+
 
 @dataclass(frozen=True)
 class CartanMatrix:
@@ -96,6 +100,8 @@ def validate_cartan(m) -> CartanMatrix:
     n = len(rows)
     if n == 0:
         raise NotCartan("empty matrix")
+    if n > MAX_RANK:
+        raise NotCartan(f"rank {n} exceeds the bound {MAX_RANK}")
     if any(len(row) != n for row in rows):
         raise NotCartan(f"matrix is not square: {rows}")
     for row in rows:
@@ -194,22 +200,26 @@ def reflect_root(i: int, coords, c: CartanMatrix) -> tuple[int, ...]:
 
 
 def positive_roots(c: CartanMatrix) -> list[Root]:
-    """All positive roots, as closure of the simple roots under simple
-    reflections restricted to positive outcomes.
+    """All positive roots, as closure of the simple roots under up-steps:
+    s_i on a root whose pairing p with simple root i is negative, which
+    adds -p to coordinate i; each non-simple root is one from a lower one.
 
     Deterministic order: by height, then lexicographically on coordinates.
     Finiteness is guaranteed by the finite-type validation.
     """
+    columns = [[(k, row[i]) for k, row in enumerate(c.entries) if row[i]] for i in range(c.n)]
     seen = {simple_root(i, c.n).coords for i in range(1, c.n + 1)}
     frontier = list(seen)
     while frontier:
         fresh = []
         for coords in frontier:
-            for i in range(1, c.n + 1):
-                image = reflect_root(i, coords, c)
-                if all(x >= 0 for x in image) and image not in seen:
-                    seen.add(image)
-                    fresh.append(image)
+            for i, column in enumerate(columns):
+                p = sum(coords[k] * a for k, a in column)
+                if p < 0:
+                    image = coords[:i] + (coords[i] - p,) + coords[i + 1:]
+                    if image not in seen:
+                        seen.add(image)
+                        fresh.append(image)
         frontier = fresh
     return [Root(t) for t in sorted(seen, key=lambda t: (sum(t), t))]
 
@@ -280,4 +290,7 @@ def cartan_matrix_by_name(name: str) -> CartanMatrix:
     m = _NAME_RE.match(name.strip())
     if not m:
         raise NotCartan(f"cannot parse type name {name!r} (expected e.g. 'A4', 'G2')")
-    return validate_cartan(_builtin_rows(m.group(1), int(m.group(2))))
+    n = int(m.group(2))
+    if n > MAX_RANK:
+        raise NotCartan(f"rank {n} exceeds the bound {MAX_RANK}")
+    return validate_cartan(_builtin_rows(m.group(1), n))

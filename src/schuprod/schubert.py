@@ -20,8 +20,9 @@ lands on the identity by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from operator import add
+from functools import cache, cached_property
+from itertools import groupby
+from operator import add, attrgetter
 from typing import Optional
 
 from .errors import LengthMismatch, NegativeConstant, NotMinimalRep
@@ -31,6 +32,7 @@ from .triop import HomogPoly, eliminate
 from .weyl import (
     ParabolicSubset,
     WeylElement,
+    climb,
     is_minimal_rep,
     left_multiply,
     longest_element,
@@ -179,18 +181,38 @@ def choose_orientation(u_length: int, v_length: int, dim: int) -> tuple[str, int
 
 
 class FlagManifold:
-    """G/P for one Cartan matrix and (validated) parabolic subset: the one
-    place that knows its dimension dim = l(w0) - l(w0_P), its Poincaré
-    duals and the orientation each structure constant is evaluated in."""
+    """G/P for one Cartan matrix and parabolic subset, validated once: the
+    one place that knows its dimension, its representatives by level, their
+    reduced words and duals, the factor check and each orientation."""
 
-    def __init__(self, c: CartanMatrix, parabolic=()):
+    def __init__(self, c: CartanMatrix, parabolic=(), max_order: int = DEFAULT_MAX_GROUP_ORDER):
         self.c = c
-        self.parabolic = ParabolicSubset.of(parabolic)
-        self.parabolic.validate(c)
-        w0, w0_p = longest_element(c), longest_element(c, self.parabolic.indices)
-        self.dim = w0.length - w0_p.length
+        # The memos close over p, not self, so no cycle keeps a walk alive.
+        self.parabolic = p = ParabolicSubset.of(parabolic)
+        p.validate(c)
+        self.word = cache(lambda x: reduced_word(x, c))
+        self._levels = cache(lambda: {
+            d: tuple(reps) for d, reps in groupby(minimal_coset_reps(c, p, max_order), attrgetter("length"))
+        })
+        # w0 costs O(rank·l(w0)), far more than dim's climb, so it waits for a dual.
+        longest = cache(lambda: (longest_element(c), longest_element(c, p.indices)))
         # dual(x) = x∨ = w0·x·w0_P, whose class is Poincaré dual to that of x.
-        self.dual = cache(lambda x: poincare_dual(x, w0, w0_p, c))
+        self.dual = cache(lambda x: poincare_dual(x, *longest(), c))
+
+    @cached_property
+    def dim(self) -> int:
+        """l(w0) - l(w0_P), from the climb on lambda_P; lazy, as the factor check needs none."""
+        return climb(self.c, self.parabolic.weight(self.c))[1]
+
+    def level(self, d: int) -> tuple[WeylElement, ...]:
+        """The representatives of length d; the first call walks W/W' up to max_order."""
+        return self._levels().get(d, ())
+
+    def check_reps(self, **elements) -> None:
+        """Raise NotMinimalRep unless every named element is shortest in its coset."""
+        for name, e in elements.items():
+            if not is_minimal_rep(e, self.parabolic, self.c):
+                raise NotMinimalRep(f"{name} is not minimal in its coset for {sorted(self.parabolic.indices)}")
 
     def evaluation(self, u_length: int, v_length: int) -> Optional[dict]:
         """The orientation the constants of factors of these lengths are
@@ -201,10 +223,10 @@ class FlagManifold:
         orientation, k = choose_orientation(u_length, v_length, self.dim)
         return {"orientation": orientation, "word_length": k}
 
-    def constants_by_target(self, pairs, reps) -> list:
-        """For each w among reps of length l(u) + l(v), a length the pairs
-        must share, (w, reduced word of w, the constants of the pairs on
-        w), in the order of reps.
+    def constants_by_target(self, pairs, targets=None) -> list:
+        """(w, the constants of the pairs on w) for each of targets, by
+        default the representatives of degree l(u) + l(v), which the pairs
+        must share.
 
         Each pair is evaluated in the orientation choose_orientation
         picks, with one batched elimination per target word: the word of
@@ -215,8 +237,8 @@ class FlagManifold:
         degrees = {u.length + v.length for u, v in pairs}
         if len(degrees) > 1:
             raise LengthMismatch(f"pairs of different degrees {sorted(degrees)}")
-        targets = [w for w in reps if w.length in degrees]
-        words = {w: reduced_word(w, self.c) for w in targets}
+        if targets is None:
+            targets = self.level(degrees.pop()) if degrees else ()
         values = [[0] * len(pairs) for _ in targets]
         batches: dict[WeylElement, list] = {}
         for j, (u, v) in enumerate(pairs):
@@ -226,11 +248,10 @@ class FlagManifold:
                 target, pair = (w, (u, v)) if orientation == "direct" else (self.dual(x), (y, self.dual(w)))
                 batches.setdefault(target, []).append(((i, j), pair))
         for target, batch in batches.items():
-            word = words[target] if target in words else reduced_word(target, self.c)
-            constants = structure_constants_for_word(word, [pair for _, pair in batch], self.c)
+            constants = structure_constants_for_word(self.word(target), [pair for _, pair in batch], self.c)
             for ((i, j), _), value in zip(batch, constants):
                 values[i][j] = value
-        return [(w, words[w], row) for w, row in zip(targets, values)]
+        return list(zip(targets, values))
 
 
 def structure_constant(
@@ -245,26 +266,18 @@ def structure_constant(
 
     When a parabolic subset is supplied all three elements must be
     minimal coset representatives, and the constant is evaluated in the
-    orientation choose_orientation picks for G/P; without one the
-    computation is the full-flag case on the word of w, which by the
-    fibration argument also covers every quotient on representatives.
+    orientation choose_orientation picks for G/P, with no walk; without
+    one the computation is the full-flag case on the word of w, which by
+    the fibration argument also covers every quotient on representatives.
     """
     if parabolic is not None:
-        ensure_minimal_reps(parabolic, c, u=u, v=v, w=w)
+        space = FlagManifold(c, parabolic)
+        space.check_reps(u=u, v=v, w=w)
     if w.length != u.length + v.length:
         raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
     if parabolic is None:
         return structure_constant_for_word(reduced_word(w, c), u, v, c)
-    return FlagManifold(c, parabolic).constants_by_target([(u, v)], [w])[0][2][0]
-
-
-def ensure_minimal_reps(parabolic, c, **elements):
-    """Raise NotMinimalRep unless every named element is shortest in its coset."""
-    parabolic = ParabolicSubset.of(parabolic)
-    parabolic.validate(c)
-    for name, e in elements.items():
-        if not is_minimal_rep(e, parabolic, c):
-            raise NotMinimalRep(f"{name} is not minimal in its coset for {sorted(parabolic.indices)}")
+    return space.constants_by_target([(u, v)], [w])[0][1][0]
 
 
 def product_expansion(
@@ -281,12 +294,10 @@ def product_expansion(
     elements of length l(u)+l(v), in canonical enumeration order.  Zero
     terms are suppressed unless include_zeros is set.
     """
-    if parabolic is not None:
-        ensure_minimal_reps(parabolic, c, u=u, v=v)
-    space = FlagManifold(c, parabolic or ())
-    reps = minimal_coset_reps(c, space.parabolic, max_order)
+    space = FlagManifold(c, parabolic or (), max_order)
+    space.check_reps(u=u, v=v)
     return [
         StructureConstant(u, v, w, value)
-        for w, _, (value,) in space.constants_by_target([(u, v)], reps)
+        for w, (value,) in space.constants_by_target([(u, v)])
         if value != 0 or include_zeros
     ]

@@ -163,11 +163,11 @@ def run_selftest(rng_seed: int = 90721) -> list[CheckResult]:
     _check(results, "cross-oracle-agreement", ok, "recursive vs closed form")
 
     # Degree-one products on the 4-space Grassmannian against tableau counts.
-    reps = weyl.minimal_coset_reps(a3, (1, 3))
+    grassmannian = schubert.FlagManifold(a3, (1, 3))
     ok = True
-    for x in (r for r in reps if r.length == 1):
-        for y in (r for r in reps if r.length == 1):
-            for t in (r for r in reps if r.length == 2):
+    for x in grassmannian.level(1):
+        for y in grassmannian.level(1):
+            for t in grassmannian.level(2):
                 lhs = schubert.structure_constant(x, y, t, a3)
                 rhs = oracles.lr_coefficient(
                     oracles.grassmannian_dictionary(x, 2, a3),

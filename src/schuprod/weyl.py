@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import GroupTooLarge
-from .rootsys import CartanMatrix, Root, reflect_root
+from .rootsys import CartanMatrix, reflect_root
 
 Word = tuple[int, ...]
 
@@ -55,15 +55,22 @@ class ParabolicSubset:
 
     @classmethod
     def of(cls, indices: "Iterable[int] | ParabolicSubset") -> "ParabolicSubset":
-        """From an iterable of indices; a ParabolicSubset comes back as is."""
+        """From an iterable of distinct indices; a ParabolicSubset comes back as is."""
         if isinstance(indices, ParabolicSubset):
             return indices
-        return cls(frozenset(int(i) for i in indices))
+        idx = sorted(int(i) for i in indices)
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"parabolic indices must be distinct, got {format_word(idx)}")
+        return cls(frozenset(idx))
 
     def validate(self, c: CartanMatrix) -> None:
         bad = [i for i in self.indices if not 1 <= i <= c.n]
         if bad:
             raise IndexError(f"parabolic indices {bad} out of range 1..{c.n}")
+
+    def weight(self, c: CartanMatrix) -> tuple[int, ...]:
+        """lambda_P: coordinate i is 0 for i in the subset, else 1."""
+        return tuple(0 if i in self.indices else 1 for i in range(1, c.n + 1))
 
 
 def identity(c: CartanMatrix) -> WeylElement:
@@ -105,15 +112,6 @@ def element_of_word(word, c: CartanMatrix) -> WeylElement:
     return e
 
 
-def length(e: WeylElement, c: CartanMatrix) -> int:
-    """Recompute l(e) from the canonical form by descent peeling.
-
-    Equals the number of positive roots sent negative by e; the cached
-    e.length is the fast path, this is the independent recomputation.
-    """
-    return len(reduced_word(e, c))
-
-
 def descents(e: WeylElement) -> list[int]:
     """Left descents: the i with l(s_i * e) < l(e), read off sign-wise."""
     return [i + 1 for i, x in enumerate(e.rho_image) if x < 0]
@@ -153,10 +151,6 @@ def all_reduced_words(e: WeylElement, c: CartanMatrix) -> list[Word]:
     return rec(e)
 
 
-def inverse(e: WeylElement, c: CartanMatrix) -> WeylElement:
-    return element_of_word(tuple(reversed(reduced_word(e, c))), c)
-
-
 def multiply(a: WeylElement, b: WeylElement, c: CartanMatrix) -> WeylElement:
     """Group product a * b via a's reduced word acting on b."""
     out = b
@@ -165,21 +159,25 @@ def multiply(a: WeylElement, b: WeylElement, c: CartanMatrix) -> WeylElement:
     return out
 
 
+def climb(c: CartanMatrix, weight, indices=None) -> tuple[tuple[int, ...], int]:
+    """Apply up-steps s_i (coordinate i > 0, i among indices, all by
+    default) to a weight until none is left: the end point and the step
+    count.  From lambda_P each step lengthens a representative by one
+    (see minimal_coset_reps), so the count is l(w0) - l(w0_P)."""
+    idx = range(1, c.n + 1) if indices is None else sorted(indices)
+    steps = 0
+    while (i := next((i for i in idx if weight[i - 1] > 0), None)) is not None:
+        weight = apply_simple_reflection(i, weight, c)
+        steps += 1
+    return tuple(weight), steps
+
+
 def longest_element(c: CartanMatrix, indices=None) -> WeylElement:
     """Longest element of the subgroup generated by the simple reflections
-    of indices (1-based; all of them by default).
-
-    Climbs by left multiplication along ascents, read off the w(rho) form,
-    until every index is a descent; in a finite Coxeter group only the
-    longest element has every generator as a descent.
-    """
-    idx = range(1, c.n + 1) if indices is None else sorted(indices)
-    e = identity(c)
-    while True:
-        i = next((i for i in idx if e.rho_image[i - 1] > 0), None)
-        if i is None:
-            return e
-        e = left_multiply(i, e, c)
+    of indices (1-based; all of them by default): the climb from rho ends
+    where every index is a descent, which in a finite Coxeter group only
+    the longest element is."""
+    return WeylElement(*climb(c, identity(c).rho_image, indices))
 
 
 def poincare_dual(x: WeylElement, w0: WeylElement, w0_p: WeylElement, c: CartanMatrix) -> WeylElement:
@@ -191,21 +189,6 @@ def poincare_dual(x: WeylElement, w0: WeylElement, w0_p: WeylElement, c: CartanM
     dual of the class of x in G/P.
     """
     return multiply(w0, multiply(x, w0_p, c), c)
-
-
-def root_image(e: WeylElement, root, c: CartanMatrix) -> Root:
-    """e acting on a root (simple-root coordinates)."""
-    coords = root.coords if isinstance(root, Root) else tuple(root)
-    for letter in reversed(reduced_word(e, c)):
-        coords = reflect_root(letter, coords, c)
-    return Root(coords)
-
-
-def inversion_count(e: WeylElement, c: CartanMatrix) -> int:
-    """Number of positive roots sent negative by e."""
-    from .rootsys import positive_roots
-
-    return sum(1 for b in positive_roots(c) if not root_image(e, b, c).is_positive)
 
 
 def enumerate_group(
@@ -250,9 +233,8 @@ def minimal_coset_reps(
     """
     p = ParabolicSubset.of(p)
     p.validate(c)
-    start = tuple(0 if i in p.indices else 1 for i in range(1, c.n + 1))
-    seen = {start: identity(c)}
-    frontier = [start]
+    seen = {p.weight(c): identity(c)}
+    frontier = list(seen)
     while frontier:
         fresh = []
         for image in frontier:

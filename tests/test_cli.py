@@ -501,10 +501,13 @@ def _job_argv(tmp_path, job):
     return ["--job", str(path)]
 
 
-@pytest.mark.parametrize("form", ["flag", "job-file"])
+@pytest.mark.parametrize("form", ["flag", "job-file", "inspect"])
 def test_repeated_parabolic_index_is_an_input_error(tmp_path, capsys, form):
     if form == "flag":
         argv = ["--type", "A3", "--parabolic", "1,1", "--table", "1", "1", "--json"]
+    elif form == "inspect":
+        # Inspect mode builds no context, but still refuses the subset.
+        argv = ["--type", "A3", "--parabolic", "1,1", "--echo-matrix"]
     else:
         argv = _job_argv(tmp_path, {"group": "A3", "mode": "table", "table": [1, 1], "parabolic": [2, 2]})
     code, out, err = run_cli(capsys, *argv)
@@ -550,3 +553,89 @@ def test_table_and_expansion_build_no_polynomial_objects(capsys, monkeypatch):
     assert code == 0 and out == "P[1] * P[2,1] = 2*P[3,2,1]\n"
     code, out, _ = run_cli(capsys, "--type", "G2", "--u", "2,1,2", "--v", "1,2", "--expand")
     assert code == 0 and out == "P[2,1,2] * P[1,2] = P[2,1,2,1,2]\n"
+
+
+def _a400_quotient():
+    return ["--type", "A400", "--parabolic", ",".join(map(str, range(2, 401)))]
+
+
+def test_tables_need_no_longest_element_without_a_dual(capsys, monkeypatch):
+    # dim comes from the climb on lambda_P; w0 and w0_P wait for a dual.
+    def refuse(*args, **kwargs):
+        raise AssertionError("longest_element called")
+
+    monkeypatch.setattr(schubert, "longest_element", refuse)
+    code, out, _ = run_cli(capsys, "--type", "A3", "--parabolic", "1,3", "--table", "1", "1")
+    assert code == 0 and out == "P[2] * P[2] = P[1,2] + P[3,2]\n"
+    code, out, _ = run_cli(capsys, *_a400_quotient(), "--table", "1", "1")
+    assert code == 0 and out == "P[1] * P[1] = P[2,1]\n"
+
+
+def test_dual_orientation_computes_w0_and_w0_p_once(capsys, monkeypatch):
+    calls = []
+    original = schubert.longest_element
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schubert, "longest_element", counting)
+    code, out, _ = run_cli(capsys, "--type", "F4", "--parabolic", "1,2,3", "--table", "7", "7", "--json")
+    assert code == 0
+    assert json.loads(out)["evaluation"] == {"orientation": "dual_u", "word_length": 8}
+    assert len(calls) == 2
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The argument tuples of every minimal_coset_reps call, under either name."""
+    calls = []
+    original = weyl.minimal_coset_reps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "minimal_coset_reps", counting)
+    monkeypatch.setattr(schubert, "minimal_coset_reps", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["--type", "B3", "--parabolic", "2,3", "--table", "1", "2"], 1),
+        (["--type", "B3", "--table", "2", "2", "--include-zeros"], 1),
+        (["--type", "G2", "--u", "2,1,2", "--v", "1,2", "--expand"], 1),
+        (["--type", "A3", "--parabolic", "1,3", "--u", "2", "--v", "2", "--expand"], 1),
+        (["--type", "A3", "--parabolic", "1,3", "--u", "2", "--v", "2", "--w", "1,2"], 0),
+        (["--type", "G2", "--u", "2,1,2", "--v", "1,2", "--w", "2,1,2,1,2"], 0),
+    ],
+)
+def test_each_run_walks_the_representatives_at_most_once(capsys, walks, argv, count):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(walks) == count
+
+
+def test_library_walks_only_for_expansions(walks):
+    b3 = cartan_matrix_by_name("B3")
+    h, x, top = (weyl.element_of_word(word, b3) for word in [(1,), (2, 1), (3, 2, 1)])
+    assert structure_constant(h, x, top, b3, (2, 3)) == 2
+    assert walks == []
+    assert [t.value for t in product_expansion(h, x, b3, (2, 3))] == [2]
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("argv", [["--type", "A100000", "--table", "1", "1"], ["--type", "B1000000000000", "--echo-matrix"]])
+def test_named_rank_past_the_bound_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: rank ") and len(err.splitlines()) == 1
+
+
+def test_matrix_rank_past_the_bound_is_an_input_error(capsys):
+    n = 501
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    code, out, err = run_cli(capsys, "--matrix", json.dumps(rows), "--echo-matrix")
+    assert code == 1 and out == ""
+    assert err == "error: rank 501 exceeds the bound 500\n"

@@ -73,7 +73,8 @@ def mostly(plausible, other=json_values):
 @st.composite
 def argvs(draw):
     if draw(st.booleans()):
-        argv = ["--type", draw(st.sampled_from(TYPES + ["X2", "A0"]))]
+        # Ranks past the bound must be refused before any matrix is built.
+        argv = ["--type", draw(st.sampled_from(TYPES + ["X2", "A0", "A501", "D1000000", "B1000000000000"]))]
     else:
         argv = ["--matrix=" + json.dumps(draw(matrices))]
     if draw(st.booleans()):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from schuprod import (
     positive_roots,
     validate_cartan,
 )
-from schuprod.rootsys import _builtin_rows, _leading_minors, reflect_root, simple_root
+from schuprod.rootsys import MAX_RANK, _builtin_rows, _leading_minors, reflect_root, simple_root
 
 RANK_LE_4_TYPES = [
     "A1", "A2", "A3", "A4",
@@ -234,3 +235,27 @@ def test_non_finite_type_names_the_first_failing_minor(rows, k):
     assert all(m > 0 for m in minors[:k - 1]) and minors[k - 1] <= 0
     for j, minor in enumerate(minors, start=1):
         assert minor == _gaussian_leading_minor(rows, j)
+
+
+def test_positive_roots_of_a_large_rank_finish():
+    # Up-steps only, each pairing from a column's nonzero entries: A120's
+    # 7,260 roots take well under a second, where a dense pairing on every
+    # (root, index) pair took about 12 s.
+    c = cartan_matrix_by_name("A120")
+    start = time.perf_counter()
+    roots = positive_roots(c)
+    assert time.perf_counter() - start < 5
+    assert len(roots) == 120 * 121 // 2
+    assert roots[-1].coords == (1,) * 120
+
+
+@pytest.mark.parametrize("name", ["A501", "D1000000", "B1000000000000"])
+def test_named_rank_past_the_bound_is_refused_before_building(name):
+    with pytest.raises(NotCartan, match=f"exceeds the bound {MAX_RANK}"):
+        cartan_matrix_by_name(name)
+
+
+def test_matrix_rank_past_the_bound_is_refused():
+    rows = [[2 if i == j else 0 for j in range(MAX_RANK + 1)] for i in range(MAX_RANK + 1)]
+    with pytest.raises(NotCartan, match=f"rank {MAX_RANK + 1} exceeds the bound {MAX_RANK}"):
+        validate_cartan(rows)

@@ -452,12 +452,15 @@ def test_poincare_duality_orientations_agree(name, parabolic, top):
     assert _by_route(triples, c, lambda u, v, w: (dual[v], (u, dual[w]))) == literal
     assert any(literal.values())
     chosen = set()
+    space = FlagManifold(c, parabolic)
     for d1 in range(top + 1):
         for d2 in range(top + 1 - d1):
             pairs = [(u, v) for u in by_length[d1] for v in by_length[d2]]
             chosen.add(choose_orientation(d1, d2, dim)[0])
-            for w, word, values in FlagManifold(c, parabolic).constants_by_target(pairs, reps):
-                assert word == reduced_word(w, c)
+            targets = space.constants_by_target(pairs)
+            assert [w for w, _ in targets] == by_length[d1 + d2]
+            for w, values in targets:
+                assert space.word(w) == reduced_word(w, c)
                 assert values == [literal[u, v, w] for u, v in pairs]
     assert chosen == (set(ORIENTATIONS) if top == dim else {"direct"})
 
@@ -491,3 +494,43 @@ def test_negative_value_raises_in_every_orientation(g2, monkeypatch, u_word, v_w
     monkeypatch.setattr(schubert, "eliminate", lambda rows, terms, n: [-1] * n)
     with pytest.raises(NegativeConstant, match="-1"):
         product_expansion(u, v, g2)
+
+
+DIM_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4", "E6", "E7", "E8"]
+
+
+def test_climb_dimension_matches_longest_elements():
+    # dim G/P from the climb on lambda_P, against l(w0) - l(w0_P), on every
+    # parabolic subset of each type (598 in all).
+    checked = 0
+    for name in DIM_TYPES:
+        c = cartan_matrix_by_name(name)
+        top = longest_element(c).length
+        for r in range(c.n + 1):
+            for subset in itertools.combinations(range(1, c.n + 1), r):
+                assert FlagManifold(c, subset).dim == top - longest_element(c, subset).length, (name, subset)
+                checked += 1
+    assert checked == 598
+
+
+def test_context_levels_and_words(a3):
+    space = FlagManifold(a3, (1, 3))
+    reps = minimal_coset_reps(a3, (1, 3))
+    assert [x for d in range(space.dim + 2) for x in space.level(d)] == reps
+    assert space.level(space.dim + 1) == () and space.level(-1) == ()
+    assert all(space.word(x) == reduced_word(x, a3) for x in reps)
+    assert space.level(2) is space.level(2)  # walked once, then held
+
+
+def test_context_refuses_repeated_and_out_of_range_indices(a3):
+    with pytest.raises(ValueError, match="parabolic indices must be distinct, got 1,1"):
+        FlagManifold(a3, (1, 1))
+    with pytest.raises(IndexError, match="out of range"):
+        FlagManifold(a3, (4,))
+
+
+def test_context_factor_check(g2):
+    space = FlagManifold(g2, (1,))
+    space.check_reps(u=element_of_word((2,), g2), w=element_of_word((1, 2), g2))
+    with pytest.raises(NotMinimalRep, match="^w is not minimal in its coset for \\[1\\]$"):
+        space.check_reps(u=element_of_word((2,), g2), w=element_of_word((2, 1), g2))

@@ -44,3 +44,4 @@ def test_traced_table_run_completes():
     assert result.stdout == "P[2] * P[2] = P[1,2] + P[3,2]\n"
     summary = json.loads(result.stderr.splitlines()[-1])
     assert summary["cli.expand"]["calls"] == 1 and summary["weyl.enumerate"]["elements"] == 6
+    assert summary["weyl.enumerate"]["calls"] == 1

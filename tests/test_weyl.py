@@ -9,7 +9,6 @@ from schuprod import (
     cartan_matrix_by_name,
     element_of_word,
     enumerate_group,
-    length,
     minimal_coset_reps,
     positive_roots,
     reduced_word,
@@ -21,14 +20,12 @@ from schuprod.weyl import (
     element_to_dict,
     format_word,
     identity,
-    inverse,
-    inversion_count,
     longest_element,
     multiply,
     parse_word,
     poincare_dual,
-    root_image,
 )
+from schuprod.oracles import inverse, inversion_count, root_image
 
 RANK_LE_4_TYPES = [
     "A1", "A2", "A3", "A4",
@@ -77,11 +74,11 @@ def test_squares_cancel(g2, a3):
 def test_g2_worked_element(g2):
     w = element_of_word((2, 1, 2, 1, 2), g2)
     assert w.length == 5
-    assert length(w, g2) == 5
+    assert len(reduced_word(w, g2)) == 5
 
 
 def test_length_identity(g2):
-    assert length(identity(g2), g2) == 0
+    assert len(reduced_word(identity(g2), g2)) == 0
 
 
 def test_longest_element_length_equals_root_count(a2):
@@ -198,6 +195,16 @@ def test_root_image_permutes_roots(b2):
     for e in enumerate_group(b2):
         image = {root_image(e, t, b2).coords for t in all_roots}
         assert image == all_roots
+
+
+def test_parabolic_subset_refuses_repeated_indices(a3):
+    from schuprod.weyl import ParabolicSubset
+
+    assert ParabolicSubset.of([3, 1]).indices == frozenset({1, 3})
+    with pytest.raises(ValueError, match="^parabolic indices must be distinct, got 1,1,3$"):
+        ParabolicSubset.of((3, 1, 1))
+    with pytest.raises(ValueError, match="distinct"):
+        minimal_coset_reps(a3, (2, 2))
 
 
 def test_minimal_coset_reps_trivial_cases(a3):
