@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Pipeline: parse the group (named type or raw matrix), optionally a
-parabolic subset, then run one of four modes:
+Pipeline: one strict reader takes the request from the flags or a --job
+file (group, parabolic subset, words, degrees), then one of four modes runs:
 
   constant  (--u --v --w)      one integer; --verbose adds the word's
                                relative matrix and both solution sets
@@ -32,7 +32,7 @@ from .weyl import Word, element_of_word
 
 @dataclass
 class JobSpec:
-    group: CartanMatrix
+    group: Optional[CartanMatrix]  # None only in selftest mode
     parabolic: tuple[int, ...] = ()
     mode: str = "constant"
     u_word: Optional[Word] = None
@@ -70,11 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schuprod",
         description="Multiply Schubert classes of a flag manifold from its Cartan matrix.",
     )
+    # The input flags that carry a job file key store under it, and stay
+    # None when not given.
     group = parser.add_argument_group("group input")
-    group.add_argument("--type", help="named type and rank, e.g. G2, A4, B3")
+    group.add_argument("--type", dest="group", metavar="TYPE", help="named type and rank, e.g. G2, A4, B3")
     group.add_argument("--matrix", help="raw Cartan matrix as a JSON array of arrays")
     group.add_argument("--job", help="JSON job file (same schema as the flags)")
-    parser.add_argument("--parabolic", default="", help="indices generating W', e.g. 1,3")
+    parser.add_argument("--parabolic", help="indices generating W', e.g. 1,3")
     parser.add_argument("--u", dest="u", help="word for u, e.g. 2,1,2 (empty = identity)")
     parser.add_argument("--v", dest="v", help="word for v")
     parser.add_argument("--w", dest="w", help="word for w (constant mode)")
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", dest="as_json", action="store_true",
                         help="emit a JSON report instead of text")
     parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--include-zeros", action="store_true",
+    parser.add_argument("--include-zeros", action="store_true", default=None,
                         help="keep zero terms in expansions")
     parser.add_argument("--max-group-order", type=_positive_int,
                         default=weyl.DEFAULT_MAX_GROUP_ORDER)
@@ -96,25 +98,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_group(type_name, matrix_text) -> CartanMatrix:
-    if type_name and matrix_text:
-        raise ValueError("give either --type or --matrix, not both")
-    if type_name:
-        return cartan_matrix_by_name(type_name)
-    if matrix_text:
-        try:
-            rows = json.loads(matrix_text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"cannot parse --matrix at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-        except RecursionError:
-            raise ValueError("cannot parse --matrix: nested too deeply") from None
-        return validate_cartan(rows)
-    raise ValueError("no group given (use --type, --matrix or --job)")
+# The keys of a job file, and the keys each mode needs with the refusal
+# when one is missing.
+_KEYS = ("group", "parabolic", "mode", "u", "v", "w", "table", "include_zeros")
+_NEEDS = {
+    "constant": (("u", "v", "w"), "constant mode needs --u, --v and --w"),
+    "expand": (("u", "v"), "expand mode needs --u and --v"),
+    "table": (("table",), "table mode needs two degree levels"),
+    "inspect": ((), ""),
+    "selftest": ((), ""),
+}
 
 
-def _parse_job_word(value, what: str = "word") -> Word:
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"cannot parse {what} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise ValueError(f"cannot parse {what}: nested too deeply") from None
+
+
+def _parse_job_word(value, what: str) -> Word:
     """A word as the flags take it ("2,1,2") or as a JSON list of integers;
     floats and booleans are refused, not coerced."""
     if isinstance(value, str):
@@ -126,81 +133,78 @@ def _parse_job_word(value, what: str = "word") -> Word:
     return tuple(value)
 
 
-def job_from_file(path: str, args) -> JobSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"cannot parse job file {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise ValueError(f"cannot parse job file {path}: nested too deeply") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"job file {path} must hold a JSON object")
+def job_from_args(args) -> JobSpec:
+    """The request of the --job file, or of the input flags read into the
+    job file's schema; the output flags apply to either."""
+    flags = ("group", "matrix", "parabolic", "u", "v", "w", "table", "include_zeros")
+    request = {key: value for key in flags if (value := getattr(args, key)) is not None}
+    modes = [mode for mode in ("selftest", "table", "expand") if getattr(args, mode)]
+    if args.job is not None:
+        if request or modes:
+            raise ValueError("--job replaces the input flags; combine only with output flags")
+        request = _load_json(Path(args.job).read_text(), f"job file {args.job}")
+        if not isinstance(request, dict):
+            raise ValueError(f"job file {args.job} must hold a JSON object")
+        return _read_request(request, args)
+    if len(modes) > 1:
+        raise ValueError(f"a request names one mode, got --{' and --'.join(modes)}")
+    if "matrix" in request:
+        if "group" in request:
+            raise ValueError("give either --type or --matrix, not both")
+        # Validated here: a JSON string is a malformed matrix, not a type name.
+        request["group"] = validate_cartan(_load_json(request.pop("matrix"), "--matrix"))
+    elif "group" not in request and not args.selftest:
+        raise ValueError("no group given (use --type, --matrix or --job)")
+    if modes:
+        request["mode"] = modes[0]
+    else:
+        # A lone --w word with --echo-matrix or --show-matrix is only inspected.
+        described = args.echo_matrix or args.show_matrix
+        constant = "w" in request and ("u" in request or "v" in request or not described)
+        request["mode"] = "constant" if constant else "inspect"
+    return _read_request(request, args)
+
+
+def _read_request(raw: dict, args) -> JobSpec:
+    """The one reader of a request, from a job file or the flags: every
+    key known, every value of its type and every key its mode needs."""
+    unknown = [key for key in raw if key not in _KEYS]
+    if unknown:
+        raise ValueError(f"unknown job file keys {', '.join(map(repr, unknown))} (known: {', '.join(_KEYS)})")
+    mode = raw.get("mode", "constant")
+    if mode == "selftest" and len(raw) > 1:
+        raise ValueError(f"selftest mode takes no input, got {', '.join(k for k in raw if k != 'mode')}")
     group = raw.get("group")
     if isinstance(group, str):
-        matrix = cartan_matrix_by_name(group)
+        group = cartan_matrix_by_name(group)
     elif isinstance(group, list):
-        matrix = validate_cartan(group)
-    else:
+        group = validate_cartan(group)
+    elif not isinstance(group, CartanMatrix) and mode != "selftest":
         raise ValueError("job file needs a 'group' entry (type name or matrix)")
-    mode = raw.get("mode", "constant")
-    if mode not in ("constant", "expand", "table", "selftest"):
+    if not isinstance(mode, str) or mode not in _NEEDS:
         raise ValueError(f"unknown mode {mode!r} in job file")
     include_zeros = raw.get("include_zeros", False)
     if not isinstance(include_zeros, bool):
         raise ValueError(f"job file include_zeros must be true or false, got {include_zeros!r}")
-    spec = JobSpec(
-        group=matrix,
+    degrees = raw.get("table")
+    if "table" in raw and not (
+        isinstance(degrees, list) and len(degrees) == 2 and all(type(d) is int for d in degrees)
+    ):
+        raise ValueError(f"job file table must be two integer degree levels, got {degrees!r}")
+    needed, refusal = _NEEDS[mode]
+    if any(key not in raw for key in needed):
+        raise ValueError(refusal)
+    if mode == "inspect" and not (args.echo_matrix or args.show_matrix):
+        raise ValueError("no action requested (use --w, --expand, --table or --selftest)")
+    return JobSpec(
+        group=group,
         parabolic=tuple(sorted(_parse_job_word(raw.get("parabolic", []), "parabolic"))),
         mode=mode,
         u_word=_parse_job_word(raw["u"], "u") if "u" in raw else None,
         v_word=_parse_job_word(raw["v"], "v") if "v" in raw else None,
         w_word=_parse_job_word(raw["w"], "w") if "w" in raw else None,
+        table_degrees=tuple(degrees) if degrees else None,
         include_zeros=include_zeros,
-        verbose=args.verbose,
-        max_group_order=args.max_group_order,
-    )
-    if "table" in raw:
-        degrees = raw["table"]
-        if not (isinstance(degrees, list) and len(degrees) == 2 and all(type(d) is int for d in degrees)):
-            raise ValueError(f"job file table must be two integer degree levels, got {degrees!r}")
-        spec.table_degrees = (degrees[0], degrees[1])
-    return spec
-
-
-def job_from_args(args) -> JobSpec:
-    if args.job:
-        clashing = [args.type, args.matrix, args.u, args.v, args.w, args.table]
-        if any(x for x in clashing) or args.expand or args.selftest:
-            raise ValueError("--job replaces the input flags; combine only with output flags")
-        return job_from_file(args.job, args)
-    if args.selftest:
-        mode = "selftest"
-        matrix = _parse_group(args.type, args.matrix) if (args.type or args.matrix) else cartan_matrix_by_name("G2")
-    else:
-        matrix = _parse_group(args.type, args.matrix)
-        if args.table:
-            mode = "table"
-        elif args.expand:
-            mode = "expand"
-        elif args.w is not None and (args.u is not None or args.v is not None):
-            mode = "constant"
-        elif args.echo_matrix or args.show_matrix:
-            mode = "inspect"
-        elif args.w is not None:
-            mode = "constant"
-        else:
-            raise ValueError("no action requested (use --w, --expand, --table or --selftest)")
-    return JobSpec(
-        group=matrix,
-        parabolic=tuple(sorted(weyl.parse_word(args.parabolic))) if args.parabolic else (),
-        mode=mode,
-        u_word=None if args.u is None else weyl.parse_word(args.u),
-        v_word=None if args.v is None else weyl.parse_word(args.v),
-        w_word=None if args.w is None else weyl.parse_word(args.w),
-        table_degrees=tuple(args.table) if args.table else None,
-        include_zeros=args.include_zeros,
         verbose=args.verbose,
         max_group_order=args.max_group_order,
         echo_matrix=args.echo_matrix,
@@ -242,8 +246,6 @@ def run(spec: JobSpec) -> dict:
         return report
 
     if spec.mode == "constant":
-        if spec.u_word is None or spec.v_word is None or spec.w_word is None:
-            raise ValueError("constant mode needs --u, --v and --w")
         u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
         if spec.parabolic:
             w = element_of_word(spec.w_word, c)
@@ -265,34 +267,27 @@ def run(spec: JobSpec) -> dict:
             }
         return report
 
-    if spec.mode in ("expand", "table"):
-        if spec.mode == "expand":
-            if spec.u_word is None or spec.v_word is None:
-                raise ValueError("expand mode needs --u and --v")
-            u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
-            d1, d2 = u.length, v.length
-            space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
-            # A group past --max-group-order exits 2 even when a factor is
-            # also not coset-minimal, so the walk comes before that check.
-            space.level(0)
-            space.check_reps(u=u, v=v)
-            pairs = [(u, v)]
-            report["u"] = weyl.element_to_dict(u, c)
-            report["v"] = weyl.element_to_dict(v, c)
-        else:
-            if spec.table_degrees is None:
-                raise ValueError("table mode needs two degree levels")
-            d1, d2 = spec.table_degrees
-            if d1 < 0 or d2 < 0:
-                raise ValueError("degree levels must be non-negative")
-            space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
-            pairs = [(x, y) for x in space.level(d1) for y in space.level(d2)]
-            report["degrees"] = [d1, d2]
-        report["records"] = _expansion_records(space, pairs, spec.include_zeros)
-        report["evaluation"] = space.evaluation(d1, d2)
-        return report
-
-    raise ValueError(f"unknown mode {spec.mode!r}")
+    if spec.mode == "expand":
+        u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
+        d1, d2 = u.length, v.length
+        space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
+        # A group past --max-group-order exits 2 even when a factor is
+        # also not coset-minimal, so the walk comes before that check.
+        space.level(0)
+        space.check_reps(u=u, v=v)
+        pairs = [(u, v)]
+        report["u"] = weyl.element_to_dict(u, c)
+        report["v"] = weyl.element_to_dict(v, c)
+    else:
+        d1, d2 = spec.table_degrees
+        if d1 < 0 or d2 < 0:
+            raise ValueError("degree levels must be non-negative")
+        space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
+        pairs = [(x, y) for x in space.level(d1) for y in space.level(d2)]
+        report["degrees"] = [d1, d2]
+    report["records"] = _expansion_records(space, pairs, spec.include_zeros)
+    report["evaluation"] = space.evaluation(d1, d2)
+    return report
 
 
 def _sum_records(solutions, k: int) -> list[dict]:
@@ -371,15 +366,18 @@ def render_text(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         spec = job_from_args(args)
+        report = None if spec.mode == "selftest" else run(spec)
+    except (GroupTooLarge, NegativeConstant) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (SchubertError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if spec.mode == "selftest":
+    if report is None:
         failures = 0
         for result in selftest.run_selftest():
             status = "PASS" if result.passed else "FAIL"
@@ -387,15 +385,6 @@ def main(argv=None) -> int:
             print(f"{status} {result.name}{suffix}")
             failures += 0 if result.passed else 1
         return 3 if failures else 0
-
-    try:
-        report = run(spec)
-    except (GroupTooLarge, NegativeConstant) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SchubertError, ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     if args.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -3,6 +3,9 @@
 The triangular operator has a closed form: a sum over balanced flow
 matrices (triangular_eval_closed), independent of the recursion in triop.
 
+Chevalley's formula gives every product with a degree-1 class, for every
+type and parabolic subset, from the root system alone (chevalley).
+
 For the type-A Grassmannian case, Littlewood-Richardson coefficients are
 counted directly: fillings of the skew shape nu/lambda with content mu,
 rows weakly increasing, columns strictly increasing, whose reverse
@@ -20,9 +23,17 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DegreeMismatch, NotGrassmannianPermutation, SizeMismatch
-from .rootsys import CartanMatrix, Root, positive_roots, reflect_root
+from .rootsys import CartanMatrix, Root, positive_roots, reflect_root, symmetrizer
 from .triop import _matrix_rows
-from .weyl import WeylElement, element_of_word, reduced_word
+from .weyl import (
+    ParabolicSubset,
+    WeylElement,
+    apply_simple_reflection,
+    climb,
+    element_of_word,
+    is_minimal_rep,
+    reduced_word,
+)
 
 Partition = tuple[int, ...]
 
@@ -291,3 +302,42 @@ def triangular_eval_closed(a, r) -> int:
             term = term * factorial(colsum) // denom
         total += term
     return total
+
+
+def chevalley(i: int, w: WeylElement, c: CartanMatrix, parabolic=()) -> dict[WeylElement, int]:
+    """The class of s_i times the class of w in H*(G/P), by Chevalley's
+    formula: the sum of <omega_i, beta^vee> times the class of w s_beta
+    over the positive roots beta with l(w s_beta) = l(w) + 1 and w s_beta
+    in W^P.  Only the nonzero terms are kept.
+
+    With beta = sum k_m b_m, its fundamental-weight coordinates are
+    <beta, b_j^vee> = sum k_m C[m][j], and (b_m, b_m) is proportional to
+    1/d_m for the symmetrizer d, so beta^vee = 2 beta / (beta, beta) has
+    coordinate k_m (b_m, b_m) / (beta, beta) on b_m^vee.  The canonical
+    form of w s_beta is w(rho - <rho, beta^vee> beta) = w(rho) -
+    <rho, beta^vee> w(beta), and its length is the number of down-steps
+    from it to rho.
+    """
+    p = ParabolicSubset.of(parabolic)
+    if i in p.indices:
+        raise ValueError(f"s_{i} lies in W_P, so it has no Schubert class in G/P")
+    n, rows = c.n, c.entries
+    norms = [1 / d for d in symmetrizer(rows)]  # (b_m, b_m), one scale per component
+    word = reduced_word(w, c)
+    terms: dict[WeylElement, int] = {}
+    for beta in positive_roots(c):
+        k = beta.coords
+        if not k[i - 1]:
+            continue  # <omega_i, beta^vee> = 0
+        weight = tuple(sum(k[m] * rows[m][j] for m in range(n)) for j in range(n))
+        size = sum(k[m] * weight[m] * norms[m] for m in range(n)) / 2  # (beta, beta)
+        rho_pairing = sum(k[m] * norms[m] for m in range(n)) / size
+        for letter in reversed(word):
+            weight = apply_simple_reflection(letter, weight, c)
+        image = tuple(int(x - rho_pairing * y) for x, y in zip(w.rho_image, weight))
+        length = climb(c, tuple(-x for x in image))[1]
+        if length == w.length + 1:
+            x = WeylElement(image, length)
+            if is_minimal_rep(x, p, c):
+                terms[x] = int(k[i - 1] * norms[i - 1] / size)
+    return terms

@@ -126,9 +126,23 @@ def validate_cartan(m) -> CartanMatrix:
 
 def _check_finite_type(rows):
     """Positive definiteness of the symmetrization, by exact leading minors."""
+    symmetrizer(rows)
+    # The symmetrization scales row i by d_i > 0, which multiplies each
+    # leading minor by a positive number: the integer matrix's leading
+    # minors have the same signs, and need no fractions.
+    for k, minor in enumerate(_leading_minors(rows), start=1):
+        if minor <= 0:
+            raise NotFiniteType(
+                f"symmetrized matrix has non-positive leading {k}x{k} minor"
+            )
+
+
+def symmetrizer(rows) -> list[Fraction]:
+    """d_i > 0 with d_i*rows[i][j] = d_j*rows[j][i], so that d_i is
+    proportional to 1/(b_i, b_i) on each component; raises NotFiniteType
+    if there is none."""
     n = len(rows)
-    # Find d_i > 0 with d_i*rows[i][j] = d_j*rows[j][i]; propagate along the
-    # nonzero off-diagonal graph, component by component.
+    # Propagate along the nonzero off-diagonal graph, component by component.
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
@@ -146,14 +160,7 @@ def _check_finite_type(rows):
                     stack.append(j)
                 elif d[j] != dj:
                     raise NotFiniteType("matrix is not symmetrizable")
-    # The symmetrization scales row i by d_i > 0, which multiplies each
-    # leading minor by a positive number: the integer matrix's leading
-    # minors have the same signs, and need no fractions.
-    for k, minor in enumerate(_leading_minors(rows), start=1):
-        if minor <= 0:
-            raise NotFiniteType(
-                f"symmetrized matrix has non-positive leading {k}x{k} minor"
-            )
+    return d
 
 
 def _leading_minors(rows):

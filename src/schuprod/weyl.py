@@ -251,8 +251,8 @@ def minimal_coset_reps(
                             else WeylElement(nxt, cur.length + 1)
                         )
                         fresh.append(nxt)
-        if len(seen) > max_order:
-            raise GroupTooLarge(f"representative set exceeds max_order={max_order}")
+                        if len(seen) > max_order:
+                            raise GroupTooLarge(f"representative set exceeds max_order={max_order}")
         frontier = fresh
     return sorted(seen.values(), key=lambda w: (w.length, w.rho_image))
 

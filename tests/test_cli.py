@@ -639,3 +639,94 @@ def test_matrix_rank_past_the_bound_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "--matrix", json.dumps(rows), "--echo-matrix")
     assert code == 1 and out == ""
     assert err == "error: rank 501 exceeds the bound 500\n"
+
+
+def _spec(*argv):
+    return cli.job_from_args(cli.build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv, job",
+    [
+        (["--type", "G2", "--u", "2,1,2", "--v", "1,2", "--w", "2,1,2,1,2"],
+         {"group": "G2", "u": [2, 1, 2], "v": "1,2", "w": "2,1,2,1,2"}),
+        (["--matrix", "[[2,-1],[-3,2]]", "--u", "1", "--v", "2", "--expand", "--include-zeros"],
+         {"group": [[2, -1], [-3, 2]], "mode": "expand", "u": "1", "v": [2], "include_zeros": True}),
+        (["--type", "A3", "--parabolic", "3,1", "--table", "1", "1"],
+         {"group": "A3", "parabolic": [3, 1], "mode": "table", "table": [1, 1]}),
+        (["--type", "G2", "--w", "2,1", "--show-matrix"], {"group": "G2", "mode": "inspect", "w": "2,1"}),
+        (["--selftest"], {"mode": "selftest"}),
+    ],
+    ids=["constant", "expand-matrix", "table-parabolic", "inspect", "selftest"],
+)
+def test_flags_and_job_files_build_the_same_spec(tmp_path, argv, job):
+    output = ["--verbose", "--max-group-order", "99", "--show-matrix"]
+    assert _spec(*argv, *output) == _spec(*_job_argv(tmp_path, job), *output)
+
+
+def test_job_file_refuses_unknown_keys(tmp_path, capsys):
+    job = {"group": "A3", "parbolic": [1, 3], "mode": "table", "table": [1, 1], "tabel": 0}
+    code, out, err = run_cli(capsys, *_job_argv(tmp_path, job))
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown job file keys 'parbolic', 'tabel' (known: group, parabolic,")
+
+
+@pytest.mark.parametrize("flag", [["--parabolic", "1,3"], ["--include-zeros"], ["--u", ""]])
+def test_job_file_refuses_every_input_flag(tmp_path, capsys, flag):
+    job = {"group": "A3", "parabolic": [1, 3], "mode": "table", "table": [1, 1]}
+    code, out, err = run_cli(capsys, *_job_argv(tmp_path, job), *flag)
+    assert code == 1 and out == ""
+    assert err == "error: --job replaces the input flags; combine only with output flags\n"
+
+
+@pytest.mark.parametrize(
+    "argv, job",
+    [
+        (["--type", "A3", "--parabolic", "1,3", "--table", "1", "1"],
+         {"group": "A3", "parabolic": [1, 3], "mode": "table", "table": [1, 1]}),
+        (["--type", "G2", "--u", "2,1,2", "--v", "1,2", "--w", "2,1,2,1,2"],
+         {"group": "G2", "u": "2,1,2", "v": "1,2", "w": "2,1,2,1,2"}),
+        (["--type", "G2", "--w", "2,1"], {"group": "G2", "mode": "inspect", "w": "2,1"}),
+    ],
+    ids=["table", "constant", "inspect"],
+)
+@pytest.mark.parametrize(
+    "output", [["--echo-matrix"], ["--show-matrix", "--json"], ["--echo-matrix", "--show-matrix"]],
+    ids=["echo", "show-json", "echo-and-show"],
+)
+def test_output_flags_apply_to_job_files(tmp_path, capsys, argv, job, output):
+    from_flags = run_cli(capsys, *argv, *output)
+    assert run_cli(capsys, *_job_argv(tmp_path, job), *output) == from_flags
+    if output == ["--echo-matrix"]:
+        assert from_flags[0] == 0 and from_flags[1].startswith("[[2,")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--type", "A2", "--u", "1", "--v", "2", "--table", "1", "1", "--expand"],
+         "error: a request names one mode, got --table and --expand\n"),
+        (["--selftest", "--table", "1", "1"], "error: a request names one mode, got --selftest and --table\n"),
+        (["--type", "B3", "--selftest"], "error: selftest mode takes no input, got group\n"),
+        (["--selftest", "--parabolic", "1", "--include-zeros"],
+         "error: selftest mode takes no input, got parabolic, include_zeros\n"),
+    ],
+    ids=["table-and-expand", "selftest-and-table", "selftest-with-type", "selftest-with-inputs"],
+)
+def test_a_request_names_one_mode(capsys, argv, error):
+    assert run_cli(capsys, *argv) == (1, "", error)
+
+
+def test_selftest_job_file_takes_no_input(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, *_job_argv(tmp_path, {"mode": "selftest"}))
+    assert code == 0 and "FAIL" not in out and out.count("PASS") >= 10
+    code, out, err = run_cli(capsys, *_job_argv(tmp_path, {"mode": "selftest", "group": "G2"}))
+    assert (code, out, err) == (1, "", "error: selftest mode takes no input, got group\n")
+
+
+@pytest.mark.parametrize("extra", [["--table", "1", "1"], ["--echo-matrix"]])
+@pytest.mark.parametrize("name", ['"G2"', '"[[2]]"'])
+def test_matrix_given_as_a_json_string_is_an_input_error(capsys, name, extra):
+    # A JSON string is a malformed matrix, never a type name.
+    code, out, err = run_cli(capsys, "--matrix", name, *extra)
+    assert (code, out, err) == (1, "", "error: matrix must be an array of arrays of integers\n")

@@ -56,6 +56,14 @@ json_values = st.recursive(
     max_leaves=6,
 )
 matrices = st.one_of(st.sampled_from(CARTAN), square_matrices(), json_values)
+# Misspelled job-file keys, which must be refused rather than dropped, and
+# jobs that are answered without them, so that no other error masks them.
+MISSPELLED = ["parbolic", "include_zero", "tabel"]
+ANSWERED_JOBS = [
+    {"group": "A3", "parabolic": [1, 3], "mode": "table", "table": [1, 1]},
+    {"group": "G2", "mode": "expand", "u": "2,1,2", "v": [1, 2], "include_zeros": True},
+    {"group": "B2", "u": "1", "v": "2", "w": [1, 2]},
+]
 
 
 def one_in(n):
@@ -76,7 +84,9 @@ def argvs(draw):
         # Ranks past the bound must be refused before any matrix is built.
         argv = ["--type", draw(st.sampled_from(TYPES + ["X2", "A0", "A501", "D1000000", "B1000000000000"]))]
     else:
-        argv = ["--matrix=" + json.dumps(draw(matrices))]
+        # A JSON string, type name or not, is never a matrix.
+        matrix = draw(one_in(8).flatmap(lambda odd: st.sampled_from(TYPES) if odd else matrices))
+        argv = ["--matrix=" + json.dumps(matrix)]
     if draw(st.booleans()):
         argv.append("--parabolic=" + draw(parabolic_texts))
     mode = draw(st.sampled_from(["constant", "expand", "table"]))
@@ -99,7 +109,8 @@ def argvs(draw):
 @st.composite
 def jobs(draw):
     """A job file's text: each field present five times in six, mostly
-    plausible, and one file in ten cut short."""
+    plausible, and one file in ten cut short.  One in eight is instead an
+    answered job with a misspelled key added."""
     words = st.one_of(word_texts, letter_lists)
     fields = {
         "group": mostly(st.sampled_from(TYPES + CARTAN), matrices),
@@ -112,6 +123,9 @@ def jobs(draw):
         "include_zeros": mostly(st.booleans()),
     }
     job = {key: draw(values) for key, values in fields.items() if not draw(one_in(6))}
+    if draw(one_in(8)):
+        job = dict(draw(st.sampled_from(ANSWERED_JOBS)))
+        job[draw(st.sampled_from(MISSPELLED))] = draw(json_values)
     text = json.dumps(job)
     return text[:-1] if draw(one_in(10)) else text
 
@@ -129,6 +143,8 @@ def run_main(argv):
 def check_outcome(argv, code, out, err):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if any(arg.startswith('--matrix="') for arg in argv):
+        assert code == 1
     if code:
         assert "error: " in err
     elif "--json" in argv:
@@ -147,4 +163,7 @@ def test_fuzzed_job_file_is_answered_or_refused(tmp_path, job, flags):
     path = tmp_path / "job.json"
     path.write_text(job)
     argv = ["--job", str(path), *flags]
-    check_outcome(argv, *run_main(argv))
+    code, out, err = run_main(argv)
+    check_outcome(argv, code, out, err)
+    if any(f'"{key}":' in job for key in MISSPELLED):
+        assert code == 1

@@ -14,9 +14,10 @@ from schuprod import (
     minimal_coset_reps,
     partitions_in_box,
     reduced_word,
+    schubert,
     structure_constant,
 )
-from schuprod.oracles import permutation_of_element
+from schuprod.oracles import chevalley, permutation_of_element
 from schuprod.weyl import identity, multiply
 
 
@@ -215,3 +216,33 @@ def test_grand_cross_check_small(n):
                 assert structure_constant(u, v, w, c) == lr_coefficient(
                     lam[u], lam[v], lam[w]
                 ), (n, k, reduced_word(u, c), reduced_word(v, c), reduced_word(w, c))
+
+
+@pytest.mark.parametrize(
+    "name, parabolic, top",
+    [
+        ("G2", (), None), ("B3", (), None), ("A4", (), None),
+        ("C3", (2, 3), None), ("D4", (1, 3, 4), None), ("F4", (1, 2, 3), None),
+        ("E6", (), 3),
+    ],
+    ids=["G2", "B3", "A4", "C3-P23", "D4-P134", "F4-P123", "E6-to-degree-3"],
+)
+def test_chevalley_formula_matches_every_degree_one_product(name, parabolic, top):
+    # Every product of a degree-1 class with a class of degree d, up to
+    # top (all of G/P by default), against Chevalley's formula.
+    c = cartan_matrix_by_name(name)
+    space = schubert.FlagManifold(c, parabolic)
+    for d in range(space.dim if top is None else top + 1):
+        pairs = [(s, w) for s in space.level(1) for w in space.level(d)]
+        products = {pair: {} for pair in pairs}
+        for target, values in space.constants_by_target(pairs):
+            for pair, value in zip(pairs, values):
+                if value:
+                    products[pair][target] = value
+        for (s, w), product in products.items():
+            assert chevalley(space.word(s)[0], w, c, parabolic) == product
+
+
+def test_chevalley_refuses_a_reflection_of_the_parabolic(a3):
+    with pytest.raises(ValueError, match="no Schubert class"):
+        chevalley(1, identity(a3), a3, (1, 3))

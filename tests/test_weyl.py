@@ -12,6 +12,7 @@ from schuprod import (
     minimal_coset_reps,
     positive_roots,
     reduced_word,
+    weyl,
 )
 from schuprod.weyl import (
     WeylElement,
@@ -149,6 +150,23 @@ def test_group_orders(name, order):
 def test_group_too_large(name, enumerate_):
     with pytest.raises(GroupTooLarge):
         enumerate_(cartan_matrix_by_name(name))
+
+
+@pytest.mark.parametrize("p", [(), (1,)], ids=["A30-flag", "A30-P1"])
+def test_group_bound_is_checked_per_representative(monkeypatch, p):
+    # Level 3 of the A30 flag alone has 4,930 elements: checked only after
+    # each level, the walk held 5,424 representatives before refusing.
+    made = []
+
+    class Counting(WeylElement):
+        def __post_init__(self):
+            made.append(self.rho_image)
+            super().__post_init__()
+
+    monkeypatch.setattr(weyl, "WeylElement", Counting)
+    with pytest.raises(GroupTooLarge):
+        minimal_coset_reps(cartan_matrix_by_name("A30"), p, max_order=1000)
+    assert 1000 < len(made) <= 1001
 
 
 @pytest.mark.parametrize("name,max_len", [("B2", 4), ("G2", 4), ("A3", 3)])
