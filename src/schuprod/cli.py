@@ -225,6 +225,11 @@ def _record(u_word, v_word, w_word, value) -> dict:
 
 
 def run(spec: JobSpec) -> dict:
+    if spec.mode == "selftest":
+        if spec.echo_matrix or spec.show_matrix:
+            raise ValueError("selftest mode has no matrix or word to show")
+        checks = [vars(result) for result in selftest.run_selftest()]
+        return {"format_version": 1, "mode": "selftest", "checks": checks}
     c = spec.group
     # Built before any mode runs, so inspect mode refuses repeated indices too.
     parabolic = weyl.ParabolicSubset.of(spec.parabolic)
@@ -271,9 +276,6 @@ def run(spec: JobSpec) -> dict:
         u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
         d1, d2 = u.length, v.length
         space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
-        # A group past --max-group-order exits 2 even when a factor is
-        # also not coset-minimal, so the walk comes before that check.
-        space.level(0)
         space.check_reps(u=u, v=v)
         pairs = [(u, v)]
         report["u"] = weyl.element_to_dict(u, c)
@@ -297,14 +299,14 @@ def _sum_records(solutions, k: int) -> list[dict]:
 
 
 def _expansion_records(space, pairs, include_zeros: bool) -> list[dict]:
-    """Records of every pair's expansion, pair by pair, each in canonical
-    order.  Pairs sharing a target are evaluated together."""
-    blocks: list[list[dict]] = [[] for _ in pairs]
-    for w, values in space.constants_by_target(pairs):
-        for block, (u, v), value in zip(blocks, pairs, values):
-            if value != 0 or include_zeros:
-                block.append(_record(space.word(u), space.word(v), space.word(w), value))
-    return [rec for block in blocks for rec in block]
+    """Records of every pair's expansion over the representatives of its
+    degree, pair by pair, each in canonical order."""
+    triples = [(u, v, w) for u, v in pairs for w in space.level(u.length + v.length)]
+    return [
+        _record(space.word(u), space.word(v), space.word(w), value)
+        for (u, v, w), value in zip(triples, space.constants(triples))
+        if value != 0 or include_zeros
+    ]
 
 
 # -- rendering -----------------------------------------------------------
@@ -331,7 +333,11 @@ def render_text(report: dict) -> str:
     if "relative_matrix" in report and report["mode"] == "inspect":
         lines.append(json.dumps(report["relative_matrix"], separators=(",", ":")))
     mode = report["mode"]
-    if mode == "constant":
+    if mode == "selftest":
+        for check in report["checks"]:
+            suffix = f": {check['detail']}" if check["detail"] else ""
+            lines.append(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}{suffix}")
+    elif mode == "constant":
         if "detail" in report:
             d = report["detail"]
             lines.append(f"w word: {weyl.format_word(d['w_word'])}")
@@ -369,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = job_from_args(args)
-        report = None if spec.mode == "selftest" else run(spec)
+        report = run(spec)
     except (GroupTooLarge, NegativeConstant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -377,22 +383,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if report is None:
-        failures = 0
-        for result in selftest.run_selftest():
-            status = "PASS" if result.passed else "FAIL"
-            suffix = f": {result.detail}" if result.detail else ""
-            print(f"{status} {result.name}{suffix}")
-            failures += 0 if result.passed else 1
-        return 3 if failures else 0
-
     if args.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         text = render_text(report)
         if text:
             print(text)
-    return 0
+    return 3 if any(not check["passed"] for check in report.get("checks", ())) else 0
 
 
 if __name__ == "__main__":

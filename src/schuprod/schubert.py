@@ -223,35 +223,31 @@ class FlagManifold:
         orientation, k = choose_orientation(u_length, v_length, self.dim)
         return {"orientation": orientation, "word_length": k}
 
-    def constants_by_target(self, pairs, targets=None) -> list:
-        """(w, the constants of the pairs on w) for each of targets, by
-        default the representatives of degree l(u) + l(v), which the pairs
-        must share.
+    def constants(self, triples) -> list[int]:
+        """a^w_{u,v} for each (u, v, w) of triples, in their order.
 
-        Each pair is evaluated in the orientation choose_orientation
-        picks, with one batched elimination per target word: the word of
-        w for the direct pairs, whose factors are (u, v), and the word of
-        u∨ (or v∨) for the dual ones.
+        Each triple is evaluated in the orientation choose_orientation
+        picks for (l(u), l(v)), with one batched elimination per target
+        word: the word of w for the direct triples, whose factors are
+        (u, v), and the word of u∨ (or v∨) for the dual ones, whose factors
+        are (v, w∨) (or (u, w∨)).  A triple with l(w) != l(u) + l(v) has
+        no orientation whose word fits its factors, so _evaluate refuses it.
         """
-        pairs = list(pairs)
-        degrees = {u.length + v.length for u, v in pairs}
-        if len(degrees) > 1:
-            raise LengthMismatch(f"pairs of different degrees {sorted(degrees)}")
-        if targets is None:
-            targets = self.level(degrees.pop()) if degrees else ()
-        values = [[0] * len(pairs) for _ in targets]
+        triples = list(triples)
+        # The orientation depends only on the factor lengths.
+        orientation = cache(lambda du, dv: choose_orientation(du, dv, self.dim)[0])
         batches: dict[WeylElement, list] = {}
-        for j, (u, v) in enumerate(pairs):
-            orientation = choose_orientation(u.length, v.length, self.dim)[0]
-            x, y = (u, v) if orientation == "dual_u" else (v, u)
-            for i, w in enumerate(targets):
-                target, pair = (w, (u, v)) if orientation == "direct" else (self.dual(x), (y, self.dual(w)))
-                batches.setdefault(target, []).append(((i, j), pair))
+        for j, (u, v, w) in enumerate(triples):
+            chosen = orientation(u.length, v.length)
+            x, y = (u, v) if chosen == "dual_u" else (v, u)
+            target, pair = (w, (u, v)) if chosen == "direct" else (self.dual(x), (y, self.dual(w)))
+            batches.setdefault(target, []).append((j, pair))
+        values = [0] * len(triples)
         for target, batch in batches.items():
             constants = structure_constants_for_word(self.word(target), [pair for _, pair in batch], self.c)
-            for ((i, j), _), value in zip(batch, constants):
-                values[i][j] = value
-        return list(zip(targets, values))
+            for (j, _), value in zip(batch, constants):
+                values[j] = value
+        return values
 
 
 def structure_constant(
@@ -277,7 +273,7 @@ def structure_constant(
         raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
     if parabolic is None:
         return structure_constant_for_word(reduced_word(w, c), u, v, c)
-    return space.constants_by_target([(u, v)], [w])[0][1][0]
+    return space.constants([(u, v, w)])[0]
 
 
 def product_expansion(
@@ -296,8 +292,9 @@ def product_expansion(
     """
     space = FlagManifold(c, parabolic or (), max_order)
     space.check_reps(u=u, v=v)
+    targets = space.level(u.length + v.length)
     return [
         StructureConstant(u, v, w, value)
-        for w, (value,) in space.constants_by_target([(u, v)])
+        for w, value in zip(targets, space.constants((u, v, w) for w in targets))
         if value != 0 or include_zeros
     ]

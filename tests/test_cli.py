@@ -203,6 +203,31 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
     assert "FAIL made-up-check: forced" in out
 
 
+def test_selftest_json_report(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "--selftest", "--json")
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    assert sorted(report) == ["checks", "format_version", "mode"]
+    assert (report["format_version"], report["mode"]) == (1, "selftest")
+    assert len(report["checks"]) >= 10 and all(check["passed"] for check in report["checks"])
+    assert cli.render_text(report) == run_cli(capsys, "--selftest")[1].rstrip("\n")
+
+    from schuprod import selftest as selftest_mod
+
+    failed = [selftest_mod.CheckResult("made-up-check", False, "forced")]
+    monkeypatch.setattr(cli.selftest, "run_selftest", lambda: failed)
+    code, out, _ = run_cli(capsys, "--selftest", "--json")
+    assert code == 3
+    assert json.loads(out)["checks"] == [{"name": "made-up-check", "passed": False, "detail": "forced"}]
+
+
+@pytest.mark.parametrize("flag", ["--echo-matrix", "--show-matrix"])
+def test_selftest_refuses_matrix_output(tmp_path, capsys, flag):
+    expected = (1, "", "error: selftest mode has no matrix or word to show\n")
+    assert run_cli(capsys, "--selftest", flag) == expected
+    assert run_cli(capsys, *_job_argv(tmp_path, {"mode": "selftest"}), flag) == expected
+
+
 def test_input_errors(capsys):
     code, _, err = run_cli(capsys, "--type", "Q9", "--expand", "--u", "1", "--v", "1")
     assert code == 1 and "error" in err
@@ -224,6 +249,16 @@ def test_group_too_large_exit_code(capsys):
         "--max-group-order", "3",
     )
     assert code == 2
+
+
+def test_expand_checks_factors_before_walking(capsys):
+    # A factor that is not coset-minimal is refused before W/W' is walked,
+    # as in constant mode and product_expansion, so the bound is not reached.
+    code, out, err = run_cli(
+        capsys, "--type", "A3", "--parabolic", "1", "--u", "1", "--v", "2", "--expand",
+        "--max-group-order", "3",
+    )
+    assert (code, out, err) == (1, "", "error: u is not minimal in its coset for [1]\n")
 
 
 def test_job_file(tmp_path, capsys):

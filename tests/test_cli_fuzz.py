@@ -80,6 +80,11 @@ def mostly(plausible, other=json_values):
 
 @st.composite
 def argvs(draw):
+    if draw(one_in(8)):
+        # Selftest with output flags only: the report is JSON under --json,
+        # and --echo-matrix and --show-matrix are refused.
+        flags = ("--json", "--verbose", "--echo-matrix", "--show-matrix")
+        return ["--selftest", *(flag for flag in flags if draw(st.booleans()))]
     if draw(st.booleans()):
         # Ranks past the bound must be refused before any matrix is built.
         argv = ["--type", draw(st.sampled_from(TYPES + ["X2", "A0", "A501", "D1000000", "B1000000000000"]))]

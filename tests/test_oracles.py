@@ -232,15 +232,14 @@ def test_chevalley_formula_matches_every_degree_one_product(name, parabolic, top
     # top (all of G/P by default), against Chevalley's formula.
     c = cartan_matrix_by_name(name)
     space = schubert.FlagManifold(c, parabolic)
-    for d in range(space.dim if top is None else top + 1):
-        pairs = [(s, w) for s in space.level(1) for w in space.level(d)]
-        products = {pair: {} for pair in pairs}
-        for target, values in space.constants_by_target(pairs):
-            for pair, value in zip(pairs, values):
-                if value:
-                    products[pair][target] = value
-        for (s, w), product in products.items():
-            assert chevalley(space.word(s)[0], w, c, parabolic) == product
+    degrees = range(space.dim if top is None else top + 1)
+    products = {(s, w): {} for d in degrees for s in space.level(1) for w in space.level(d)}
+    triples = [(s, w, t) for s, w in products for t in space.level(w.length + 1)]
+    for (s, w, t), value in zip(triples, space.constants(triples)):
+        if value:
+            products[s, w][t] = value
+    for (s, w), product in products.items():
+        assert chevalley(space.word(s)[0], w, c, parabolic) == product
 
 
 def test_chevalley_refuses_a_reflection_of_the_parabolic(a3):

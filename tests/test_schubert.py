@@ -427,9 +427,9 @@ DUALITY_CASES = [
 )
 def test_poincare_duality_orientations_agree(name, parabolic, top):
     # a^w_{u,v} = a^{u∨}_{v,w∨} = a^{v∨}_{u,w∨}, each evaluated literally on
-    # the word of its own target, for every triple up to degree top; and the
-    # chosen orientation behind FlagManifold.constants_by_target matches the
-    # literal route on every degree pair.  Multiply-laced types pin the entry
+    # the word of its own target, for every triple up to degree top; and
+    # FlagManifold.constants, in the orientation it chooses for each degree
+    # pair, matches the literal route.  Multiply-laced types pin the entry
     # order of the relative matrices on the dual words too.
     c = cartan_matrix_by_name(name)
     reps = minimal_coset_reps(c, parabolic)
@@ -451,17 +451,11 @@ def test_poincare_duality_orientations_agree(name, parabolic, top):
     assert _by_route(triples, c, lambda u, v, w: (dual[u], (v, dual[w]))) == literal
     assert _by_route(triples, c, lambda u, v, w: (dual[v], (u, dual[w]))) == literal
     assert any(literal.values())
-    chosen = set()
     space = FlagManifold(c, parabolic)
-    for d1 in range(top + 1):
-        for d2 in range(top + 1 - d1):
-            pairs = [(u, v) for u in by_length[d1] for v in by_length[d2]]
-            chosen.add(choose_orientation(d1, d2, dim)[0])
-            targets = space.constants_by_target(pairs)
-            assert [w for w, _ in targets] == by_length[d1 + d2]
-            for w, values in targets:
-                assert space.word(w) == reduced_word(w, c)
-                assert values == [literal[u, v, w] for u, v in pairs]
+    assert space.constants(triples) == [literal[t] for t in triples]
+    assert all(list(space.level(d)) == by_length[d] for d in range(top + 1))
+    assert all(space.word(w) == reduced_word(w, c) for _, _, w in triples)
+    chosen = {choose_orientation(u.length, v.length, dim)[0] for u, v, _ in triples}
     assert chosen == (set(ORIENTATIONS) if top == dim else {"direct"})
 
 
@@ -534,3 +528,17 @@ def test_context_factor_check(g2):
     space.check_reps(u=element_of_word((2,), g2), w=element_of_word((1, 2), g2))
     with pytest.raises(NotMinimalRep, match="^w is not minimal in its coset for \\[1\\]$"):
         space.check_reps(u=element_of_word((2,), g2), w=element_of_word((2, 1), g2))
+
+
+@pytest.mark.parametrize(
+    "u_word,v_word,orientation",
+    [((1,), (2,), "direct"), ((1, 2, 1, 2), (1,), "dual_u"), ((1,), (2, 1, 2, 1), "dual_v")],
+)
+def test_constants_refuse_a_triple_of_the_wrong_degree(g2, u_word, v_word, orientation):
+    # l(w) = l(u) + l(v) - 1: the target word of every orientation is one
+    # letter off its factors' lengths.
+    u, v = element_of_word(u_word, g2), element_of_word(v_word, g2)
+    w = element_of_word((2, 1, 2, 1, 2)[: u.length + v.length - 1], g2)
+    assert choose_orientation(u.length, v.length, 6)[0] == orientation
+    with pytest.raises(LengthMismatch):
+        FlagManifold(g2).constants([(u, v, w)])
