@@ -196,6 +196,8 @@ def _read_request(raw: dict, args) -> JobSpec:
         raise ValueError(refusal)
     if mode == "inspect" and not (args.echo_matrix or args.show_matrix):
         raise ValueError("no action requested (use --w, --expand, --table or --selftest)")
+    if args.verbose and mode != "constant":
+        raise ValueError(f"--verbose applies to constant mode only, not {mode} mode")
     return JobSpec(
         group=group,
         parabolic=tuple(sorted(_parse_job_word(raw.get("parabolic", []), "parabolic"))),
@@ -231,8 +233,8 @@ def run(spec: JobSpec) -> dict:
         checks = [vars(result) for result in selftest.run_selftest()]
         return {"format_version": 1, "mode": "selftest", "checks": checks}
     c = spec.group
-    # Built before any mode runs, so inspect mode refuses repeated indices too.
-    parabolic = weyl.ParabolicSubset.of(spec.parabolic)
+    # Built before any mode runs, so every mode refuses a bad subset.
+    space = schubert.FlagManifold(c, spec.parabolic, spec.max_group_order)
     report: dict = {
         "format_version": 1,
         "mode": spec.mode,
@@ -253,8 +255,7 @@ def run(spec: JobSpec) -> dict:
     if spec.mode == "constant":
         u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
         if spec.parabolic:
-            w = element_of_word(spec.w_word, c)
-            schubert.FlagManifold(c, parabolic).check_reps(u=u, v=v, w=w)
+            space.check_reps(u=u, v=v, w=element_of_word(spec.w_word, c))
         # Evaluate with the caller's decomposition so the verbose data
         # describes exactly what was computed; the word is checked once.
         (value,), matrix, solutions = schubert._evaluate(spec.w_word, [(u, v)], c)
@@ -275,7 +276,6 @@ def run(spec: JobSpec) -> dict:
     if spec.mode == "expand":
         u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
         d1, d2 = u.length, v.length
-        space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
         space.check_reps(u=u, v=v)
         pairs = [(u, v)]
         report["u"] = weyl.element_to_dict(u, c)
@@ -284,7 +284,6 @@ def run(spec: JobSpec) -> dict:
         d1, d2 = spec.table_degrees
         if d1 < 0 or d2 < 0:
             raise ValueError("degree levels must be non-negative")
-        space = schubert.FlagManifold(c, parabolic, spec.max_group_order)
         pairs = [(x, y) for x in space.level(d1) for y in space.level(d2)]
         report["degrees"] = [d1, d2]
     report["records"] = _expansion_records(space, pairs, spec.include_zeros)
@@ -301,11 +300,9 @@ def _sum_records(solutions, k: int) -> list[dict]:
 def _expansion_records(space, pairs, include_zeros: bool) -> list[dict]:
     """Records of every pair's expansion over the representatives of its
     degree, pair by pair, each in canonical order."""
-    triples = [(u, v, w) for u, v in pairs for w in space.level(u.length + v.length)]
     return [
-        _record(space.word(u), space.word(v), space.word(w), value)
-        for (u, v, w), value in zip(triples, space.constants(triples))
-        if value != 0 or include_zeros
+        _record(space.word(t.u), space.word(t.v), space.word(t.w), t.value)
+        for t in space.expand(pairs, include_zeros)
     ]
 
 
@@ -330,7 +327,7 @@ def render_text(report: dict) -> str:
     lines = []
     if "matrix_echo" in report:
         lines.append(json.dumps(report["matrix_echo"], separators=(",", ":")))
-    if "relative_matrix" in report and report["mode"] == "inspect":
+    if "relative_matrix" in report:
         lines.append(json.dumps(report["relative_matrix"], separators=(",", ":")))
     mode = report["mode"]
     if mode == "selftest":

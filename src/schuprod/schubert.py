@@ -234,11 +234,9 @@ class FlagManifold:
         no orientation whose word fits its factors, so _evaluate refuses it.
         """
         triples = list(triples)
-        # The orientation depends only on the factor lengths.
-        orientation = cache(lambda du, dv: choose_orientation(du, dv, self.dim)[0])
         batches: dict[WeylElement, list] = {}
         for j, (u, v, w) in enumerate(triples):
-            chosen = orientation(u.length, v.length)
+            chosen = choose_orientation(u.length, v.length, self.dim)[0]
             x, y = (u, v) if chosen == "dual_u" else (v, u)
             target, pair = (w, (u, v)) if chosen == "direct" else (self.dual(x), (y, self.dual(w)))
             batches.setdefault(target, []).append((j, pair))
@@ -248,6 +246,17 @@ class FlagManifold:
             for (j, _), value in zip(batch, constants):
                 values[j] = value
         return values
+
+    def expand(self, pairs, include_zeros: bool = False) -> list[StructureConstant]:
+        """The product of the classes of u and v over the representatives
+        of degree l(u) + l(v), for each (u, v) of pairs: pair by pair, each
+        in canonical order, zero terms dropped unless include_zeros."""
+        triples = [(u, v, w) for u, v in pairs for w in self.level(u.length + v.length)]
+        return [
+            StructureConstant(u, v, w, value)
+            for (u, v, w), value in zip(triples, self.constants(triples))
+            if value != 0 or include_zeros
+        ]
 
 
 def structure_constant(
@@ -260,19 +269,16 @@ def structure_constant(
     """The coefficient of the class of w in the product of the classes
     of u and v, requiring l(w) = l(u) + l(v).
 
-    When a parabolic subset is supplied all three elements must be
-    minimal coset representatives, and the constant is evaluated in the
-    orientation choose_orientation picks for G/P, with no walk; without
-    one the computation is the full-flag case on the word of w, which by
-    the fibration argument also covers every quotient on representatives.
+    All three elements must be minimal coset representatives for the
+    parabolic subset; without one this is G/B, whose constants on the
+    representatives of any W/W' are those of G/P (the fibration
+    argument).  The constant is evaluated in the orientation
+    choose_orientation picks, with no walk.
     """
-    if parabolic is not None:
-        space = FlagManifold(c, parabolic)
-        space.check_reps(u=u, v=v, w=w)
+    space = FlagManifold(c, parabolic or ())
+    space.check_reps(u=u, v=v, w=w)
     if w.length != u.length + v.length:
         raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
-    if parabolic is None:
-        return structure_constant_for_word(reduced_word(w, c), u, v, c)
     return space.constants([(u, v, w)])[0]
 
 
@@ -292,9 +298,4 @@ def product_expansion(
     """
     space = FlagManifold(c, parabolic or (), max_order)
     space.check_reps(u=u, v=v)
-    targets = space.level(u.length + v.length)
-    return [
-        StructureConstant(u, v, w, value)
-        for w, value in zip(targets, space.constants((u, v, w) for w in targets))
-        if value != 0 or include_zeros
-    ]
+    return space.expand([(u, v)], include_zeros)

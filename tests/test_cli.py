@@ -71,6 +71,25 @@ def test_verbose_json_detail(capsys):
     assert len(detail["u_sum"]) == 4 and len(detail["v_sum"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, job",
+    [
+        (["--type", "G2", "--u", "1", "--v", "2", "--expand"], {"group": "G2", "mode": "expand", "u": "1", "v": "2"}),
+        (["--type", "A3", "--parabolic", "1,3", "--table", "1", "1"],
+         {"group": "A3", "parabolic": [1, 3], "mode": "table", "table": [1, 1]}),
+        (["--type", "G2", "--w", "2,1", "--show-matrix"], {"group": "G2", "mode": "inspect", "w": "2,1"}),
+        (["--selftest"], {"mode": "selftest"}),
+    ],
+    ids=["expand", "table", "inspect", "selftest"],
+)
+def test_verbose_outside_constant_mode_is_refused(tmp_path, capsys, argv, job):
+    mode = job["mode"]
+    expected = (1, "", f"error: --verbose applies to constant mode only, not {mode} mode\n")
+    assert run_cli(capsys, *argv, "--verbose") == expected
+    output = ["--show-matrix"] if mode == "inspect" else []
+    assert run_cli(capsys, *_job_argv(tmp_path, job), *output, "--verbose") == expected
+
+
 def test_json_report_matches_text(capsys):
     code, out_json, _ = run_cli(
         capsys, "--type", "G2", "--u", "2,1,2", "--v", "1,2", "--expand", "--json",
@@ -134,6 +153,11 @@ def test_parabolic_index_out_of_range(capsys):
     assert code == 1 and "out of range" in err
 
 
+def test_inspect_mode_checks_the_subset_range(capsys):
+    expected = (1, "", "error: parabolic indices [9] out of range 1..2\n")
+    assert run_cli(capsys, "--type", "G2", "--parabolic", "9", "--echo-matrix") == expected
+
+
 def test_job_file_table_mode(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(
@@ -182,6 +206,26 @@ def test_show_matrix(capsys):
     code, out, _ = run_cli(capsys, "--type", "G2", "--show-matrix", "--w", "2,1")
     assert code == 0
     assert json.loads(out) == [[0, 3], [0, 0]]
+
+
+G2_MATRIX_W_TEXT = "[[0,3,-2,3,-2],[0,0,1,-2,1],[0,0,0,3,-2],[0,0,0,0,1],[0,0,0,0,0]]"
+
+
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["--u", "2,1,2", "--v", "1,2"], ["1"]),
+        (["--u", "2,1,2", "--v", "1,2", "--expand"], ["P[2,1,2] * P[1,2] = P[2,1,2,1,2]"]),
+        (["--table", "1", "1"],
+         ["P[1] * P[1] = 3*P[2,1]", "P[1] * P[2] = P[1,2] + P[2,1]",
+          "P[2] * P[1] = P[1,2] + P[2,1]", "P[2] * P[2] = P[1,2]"]),
+    ],
+    ids=["constant", "expand", "table"],
+)
+def test_show_matrix_text_in_every_mode(capsys, argv, result):
+    # The relative matrix of the --w word comes first, as in inspect mode.
+    out = "\n".join([G2_MATRIX_W_TEXT, *result]) + "\n"
+    assert run_cli(capsys, "--type", "G2", "--w", "2,1,2,1,2", "--show-matrix", *argv) == (0, out, "")
 
 
 def test_selftest_passes(capsys):
@@ -541,7 +585,7 @@ def test_repeated_parabolic_index_is_an_input_error(tmp_path, capsys, form):
     if form == "flag":
         argv = ["--type", "A3", "--parabolic", "1,1", "--table", "1", "1", "--json"]
     elif form == "inspect":
-        # Inspect mode builds no context, but still refuses the subset.
+        # Inspect mode refuses the subset too.
         argv = ["--type", "A3", "--parabolic", "1,1", "--echo-matrix"]
     else:
         argv = _job_argv(tmp_path, {"group": "A3", "mode": "table", "table": [1, 1], "parabolic": [2, 2]})
@@ -695,7 +739,9 @@ def _spec(*argv):
     ids=["constant", "expand-matrix", "table-parabolic", "inspect", "selftest"],
 )
 def test_flags_and_job_files_build_the_same_spec(tmp_path, argv, job):
-    output = ["--verbose", "--max-group-order", "99", "--show-matrix"]
+    # --verbose applies to constant mode only.
+    verbose = ["--verbose"] if job.get("mode", "constant") == "constant" else []
+    output = [*verbose, "--max-group-order", "99", "--show-matrix"]
     assert _spec(*argv, *output) == _spec(*_job_argv(tmp_path, job), *output)
 
 

@@ -82,7 +82,7 @@ def mostly(plausible, other=json_values):
 def argvs(draw):
     if draw(one_in(8)):
         # Selftest with output flags only: the report is JSON under --json,
-        # and --echo-matrix and --show-matrix are refused.
+        # and --verbose, --echo-matrix and --show-matrix are refused.
         flags = ("--json", "--verbose", "--echo-matrix", "--show-matrix")
         return ["--selftest", *(flag for flag in flags if draw(st.booleans()))]
     if draw(st.booleans()):
@@ -162,7 +162,7 @@ def test_fuzzed_argv_is_answered_or_refused(argv):
     check_outcome(argv, *run_main(argv))
 
 
-@given(jobs(), st.sampled_from([[], ["--json"], ["--verbose", "--max-group-order", "7"]]))
+@given(jobs(), st.sampled_from([[], ["--json"], ["--verbose"], ["--max-group-order", "7"]]))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_job_file_is_answered_or_refused(tmp_path, job, flags):
     path = tmp_path / "job.json"

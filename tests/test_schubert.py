@@ -478,6 +478,47 @@ def test_parabolic_structure_constant_uses_the_chosen_orientation(monkeypatch):
     assert seen == [2]
 
 
+def test_full_flag_structure_constant_uses_the_chosen_orientation(g2, g2_data, monkeypatch):
+    # G2/B has dimension 6: the worked case a^w_{u,v} with l(u) = 3 and
+    # l(v) = 2 is evaluated on the word of u∨ (length 3), not on the
+    # length-5 word of w, just as product_expansion evaluates it.
+    seen = []
+    original = schubert.structure_constants_for_word
+
+    def recording(word, pairs, c):
+        seen.append(len(word))
+        return original(word, pairs, c)
+
+    monkeypatch.setattr(schubert, "structure_constants_for_word", recording)
+    assert choose_orientation(3, 2, 6) == ("dual_u", 3)
+    assert structure_constant(g2_data["u"], g2_data["v"], g2_data["w"], g2) == 1
+    assert structure_constant(g2_data["u"], g2_data["v"], g2_data["w2"], g2) == 0
+    assert seen == [3, 3]
+
+
+@pytest.mark.parametrize("include_zeros", [False, True])
+@pytest.mark.parametrize("name, parabolic", [("G2", ()), ("A3", (2,)), ("A3", (1, 3))])
+def test_expand_is_product_expansion_pair_by_pair(monkeypatch, name, parabolic, include_zeros):
+    # Every pair of representatives, of every degree (those past dim G/P
+    # included), in one context: one walk, and the concatenation of the
+    # per-pair expansions.
+    c = cartan_matrix_by_name(name)
+    reps = minimal_coset_reps(c, parabolic)
+    pairs = [(u, v) for u in reps for v in reps]
+    expected = [t for u, v in pairs for t in product_expansion(u, v, c, parabolic, include_zeros)]
+    walks = []
+    original = schubert.minimal_coset_reps
+
+    def counting(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(schubert, "minimal_coset_reps", counting)
+    assert FlagManifold(c, parabolic).expand(pairs, include_zeros) == expected
+    assert len(walks) == 1
+    assert any(t.value == 0 for t in expected) == include_zeros
+
+
 @pytest.mark.parametrize(
     "u_word,v_word,orientation",
     [((1,), (2,), "direct"), ((1, 2, 1, 2), (1,), "dual_u"), ((1,), (2, 1, 2, 1), "dual_v")],
