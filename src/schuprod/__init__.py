@@ -24,36 +24,28 @@ from .errors import (
     VariableCountMismatch,
 )
 from .oracles import (
-    FlowMatrix,
-    flow_matrices,
-    format_partition,
     grassmannian_dictionary,
     lr_coefficient,
-    parse_partition,
-    partitions_in_box,
     triangular_eval_closed,
 )
 from .relmat import RelativeCartanMatrix, cartan_matrix_of_word
 from .rootsys import (
     CartanMatrix,
-    Root,
     cartan_matrix_by_name,
-    cartan_pair,
     positive_roots,
     validate_cartan,
 )
 from .schubert import (
+    FlagManifold,
     StructureConstant,
     product_expansion,
     structure_constant,
     structure_constant_for_word,
     structure_constants_for_word,
     subword_solutions,
-    subword_sum,
 )
 from .triop import (
     HomogPoly,
-    poly_mul,
     triangular_eval,
     triangular_eval_many,
     vanishing_filter,
@@ -74,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CartanMatrix",
     "DegreeMismatch",
-    "FlowMatrix",
+    "FlagManifold",
     "GroupTooLarge",
     "HomogPoly",
     "LengthMismatch",
@@ -86,7 +78,6 @@ __all__ = [
     "NotReduced",
     "ParabolicSubset",
     "RelativeCartanMatrix",
-    "Root",
     "SchubertError",
     "SizeMismatch",
     "StructureConstant",
@@ -96,17 +87,11 @@ __all__ = [
     "all_reduced_words",
     "cartan_matrix_by_name",
     "cartan_matrix_of_word",
-    "cartan_pair",
     "element_of_word",
     "enumerate_group",
-    "flow_matrices",
-    "format_partition",
     "grassmannian_dictionary",
     "lr_coefficient",
     "minimal_coset_reps",
-    "parse_partition",
-    "partitions_in_box",
-    "poly_mul",
     "positive_roots",
     "product_expansion",
     "reduced_word",
@@ -114,7 +99,6 @@ __all__ = [
     "structure_constant_for_word",
     "structure_constants_for_word",
     "subword_solutions",
-    "subword_sum",
     "triangular_eval",
     "triangular_eval_closed",
     "triangular_eval_many",

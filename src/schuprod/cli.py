@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,7 +180,9 @@ def _read_request(raw: dict, args) -> JobSpec:
         group = cartan_matrix_by_name(group)
     elif isinstance(group, list):
         group = validate_cartan(group)
-    elif not isinstance(group, CartanMatrix) and mode != "selftest":
+    elif "group" in raw and not isinstance(group, CartanMatrix):
+        raise ValueError(f"job file group must be a type name or a matrix, got {group!r}")
+    elif "group" not in raw and mode != "selftest":
         raise ValueError("job file needs a 'group' entry (type name or matrix)")
     if not isinstance(mode, str) or mode not in _NEEDS:
         raise ValueError(f"unknown mode {mode!r} in job file")
@@ -292,7 +295,8 @@ def run(spec: JobSpec) -> dict:
 
 
 def _sum_records(solutions, k: int) -> list[dict]:
-    """A subword sum from its solutions, in HomogPoly.as_records form."""
+    """A subword sum from its solutions: one {exponents, coefficient}
+    record per monomial, in exponent order."""
     exps = sorted(schubert._exponents(L, k) for L in solutions)
     return [{"exponents": list(e), "coefficient": 1} for e in exps]
 
@@ -380,12 +384,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        text = render_text(report)
-        if text:
-            print(text)
+    try:
+        if args.as_json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            text = render_text(report)
+            if text:
+                print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered to devnull, so
+        # the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 3 if any(not check["passed"] for check in report.get("checks", ())) else 0
 
 

@@ -75,32 +75,12 @@ class HomogPoly:
     def one(cls, k: int) -> "HomogPoly":
         return cls(k, 0, {(0,) * k: 1})
 
-    @classmethod
-    def zero(cls, k: int, degree: int) -> "HomogPoly":
-        return cls(k, degree, {})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def items(self):
-        return sorted(self.terms.items())
-
     def coefficient(self, exponents) -> int:
         return self.terms.get(tuple(exponents), 0)
-
-    def as_records(self) -> list[dict]:
-        """JSON-friendly form: a list of {exponents, coefficient}."""
-        return [
-            {"exponents": list(exps), "coefficient": coeff}
-            for exps, coeff in self.items()
-        ]
-
-    @classmethod
-    def from_records(cls, k: int, degree: int, records) -> "HomogPoly":
-        return cls(
-            k, degree, {tuple(r["exponents"]): r["coefficient"] for r in records}
-        )
 
     def __eq__(self, other):
         return (
@@ -123,12 +103,6 @@ class HomogPoly:
             terms[exps] = terms.get(exps, 0) + coeff
         return HomogPoly(self.k, self.degree, terms)
 
-    def __neg__(self):
-        return HomogPoly(self.k, self.degree, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return HomogPoly(
@@ -137,26 +111,6 @@ class HomogPoly:
         return poly_mul(self, other)
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for exps, coeff in self.items():
-            factors = [
-                f"x{i + 1}" if r == 1 else f"x{i + 1}^{r}"
-                for i, r in enumerate(exps)
-                if r
-            ]
-            body = "*".join(factors) if factors else "1"
-            if coeff == 1 and factors:
-                parts.append(body)
-            elif coeff == -1 and factors:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}" if factors else str(coeff))
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
 
 
 def poly_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:

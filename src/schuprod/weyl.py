@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import GroupTooLarge
-from .rootsys import CartanMatrix, reflect_root
+from .rootsys import CartanMatrix
 
 Word = tuple[int, ...]
 
@@ -200,16 +200,16 @@ def enumerate_group(
 
 
 def is_minimal_rep(e: WeylElement, p: ParabolicSubset, c: CartanMatrix) -> bool:
-    """Shortest-in-coset test: e sends every simple root of the parabolic
-    to a positive root."""
-    word = reduced_word(e, c)
-    for i in p.indices:
-        coords = tuple(1 if m == i - 1 else 0 for m in range(c.n))
-        for letter in reversed(word):
-            coords = reflect_root(letter, coords, c)
-        if any(x < 0 for x in coords):
-            return False
-    return True
+    """Shortest-in-coset test: e sends every simple root a_i of the
+    parabolic to a positive root, that is <rho, e(a_i^v)> > 0, which is
+    coordinate i of e^-1(rho).  The letters of e's reduced word, applied
+    to rho in order, give e^-1(rho); the empty subset needs no word."""
+    if not p.indices:
+        return True
+    image = identity(c).rho_image
+    for letter in reduced_word(e, c):
+        image = apply_simple_reflection(letter, image, c)
+    return all(image[i - 1] > 0 for i in p.indices)
 
 
 def minimal_coset_reps(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -811,3 +815,29 @@ def test_matrix_given_as_a_json_string_is_an_input_error(capsys, name, extra):
     # A JSON string is a malformed matrix, never a type name.
     code, out, err = run_cli(capsys, "--matrix", name, *extra)
     assert (code, out, err) == (1, "", "error: matrix must be an array of arrays of integers\n")
+
+
+@pytest.mark.parametrize(
+    "job, error",
+    [
+        ({"group": 5, "mode": "table", "table": [1, 1]}, "job file group must be a type name or a matrix, got 5"),
+        ({"mode": "table", "table": [1, 1]}, "job file needs a 'group' entry (type name or matrix)"),
+    ],
+)
+def test_job_file_group_is_named_when_wrong_typed_and_missing_when_absent(tmp_path, capsys, job, error):
+    code, out, err = run_cli(capsys, *_job_argv(tmp_path, job))
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # About 300 KB of JSON, several pipe buffers, written into a pipe whose
+    # read end is closed before the child writes.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schuprod.cli", "--type", "A4", "--table", "2", "2", "--json", "--include-zeros"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert (proc.wait(timeout=60), err) == (1, "")

@@ -12,12 +12,11 @@ from schuprod import (
     grassmannian_dictionary,
     lr_coefficient,
     minimal_coset_reps,
-    partitions_in_box,
     reduced_word,
     schubert,
     structure_constant,
 )
-from schuprod.oracles import chevalley, permutation_of_element
+from schuprod.oracles import chevalley, partitions_in_box, permutation_of_element
 from schuprod.weyl import identity, multiply
 
 
@@ -113,7 +112,7 @@ def test_partitions_in_box():
 
 
 def test_partition_parsing():
-    from schuprod import format_partition, parse_partition
+    from schuprod.oracles import format_partition, parse_partition
 
     assert parse_partition("[2,1]") == (2, 1)
     assert parse_partition("[]") == ()

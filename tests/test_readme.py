@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import schuprod
 from schuprod.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,3 +51,11 @@ def test_readme_python_snippet(capsys):
     (snippet,) = _blocks("python")
     exec(snippet, {})
     assert capsys.readouterr().out == _expected(snippet.splitlines())
+
+
+def test_readme_names_every_export():
+    # Named in code: a fenced block or an inline `span` of the prose.
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    code = "\n".join(_blocks(r"\w*") + re.findall(r"`([^`]+)`", prose))
+    missing = [name for name in schuprod.__all__ if not re.search(rf"\b{name}\b", code)]
+    assert missing == []

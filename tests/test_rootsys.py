@@ -7,14 +7,20 @@ import pytest
 from schuprod import (
     NotCartan,
     NotFiniteType,
-    Root,
     cartan_matrix_by_name,
-    cartan_pair,
     enumerate_group,
     positive_roots,
     validate_cartan,
 )
-from schuprod.rootsys import MAX_RANK, _builtin_rows, _leading_minors, reflect_root, simple_root
+from schuprod.rootsys import (
+    MAX_RANK,
+    Root,
+    _builtin_rows,
+    _leading_minors,
+    cartan_pair,
+    reflect_root,
+    simple_root,
+)
 
 RANK_LE_4_TYPES = [
     "A1", "A2", "A3", "A4",

@@ -19,10 +19,9 @@ from schuprod import (
     structure_constant_for_word,
     structure_constants_for_word,
     subword_solutions,
-    subword_sum,
 )
 from schuprod import relmat, schubert, weyl
-from schuprod.schubert import ORIENTATIONS, FlagManifold, choose_orientation
+from schuprod.schubert import ORIENTATIONS, FlagManifold, choose_orientation, subword_sum
 from schuprod.weyl import identity, longest_element, poincare_dual
 
 
@@ -569,6 +568,15 @@ def test_context_factor_check(g2):
     space.check_reps(u=element_of_word((2,), g2), w=element_of_word((1, 2), g2))
     with pytest.raises(NotMinimalRep, match="^w is not minimal in its coset for \\[1\\]$"):
         space.check_reps(u=element_of_word((2,), g2), w=element_of_word((2, 1), g2))
+
+
+def test_full_flag_factor_check_spells_no_word(g2, g2_data, monkeypatch):
+    # Every element is minimal for the empty subset, so no word is needed.
+    calls = []
+    spell = weyl.reduced_word
+    monkeypatch.setattr(weyl, "reduced_word", lambda e, c: calls.append(e) or spell(e, c))
+    FlagManifold(g2).check_reps(u=g2_data["u"], v=g2_data["v"], w=g2_data["w"])
+    assert calls == []
 
 
 @pytest.mark.parametrize(

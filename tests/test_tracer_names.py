@@ -3,10 +3,12 @@ module and name, so a rename breaks `perfbench/run.py --trace 1` with an
 AttributeError.  Every name it looks up must resolve, and a traced run must
 finish with the CLI's output unchanged."""
 
+import ast
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import schuprod
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+RUNNER = TRACER.with_name("run.py")
 
 
 def _load_tracer():
@@ -45,3 +48,16 @@ def test_traced_table_run_completes():
     summary = json.loads(result.stderr.splitlines()[-1])
     assert summary["cli.expand"]["calls"] == 1 and summary["weyl.enumerate"]["elements"] == 6
     assert summary["weyl.enumerate"]["calls"] == 1
+
+
+def test_benchmark_setup_calls_resolve_on_the_package():
+    # The benchmark's set-up process imports schuprod and calls these
+    # top-level names, so trimming the package's exports must keep them.
+    (setup,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(RUNNER.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]
+    ]
+    names = re.findall(r"\bschuprod\.(\w+)\(", setup)
+    missing = [name for name in names if not callable(getattr(schuprod, name, None))]
+    assert names and missing == []
