@@ -91,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--include-zeros", action="store_true", default=None,
                         help="keep zero terms in expansions")
     parser.add_argument("--max-group-order", type=_positive_int,
-                        default=weyl.DEFAULT_MAX_GROUP_ORDER)
+                        default=weyl.DEFAULT_MAX_GROUP_ORDER,
+                        help="bound on the coset representatives walked, level by level "
+                             "up to the deepest degree the run needs (default 10^6)")
     parser.add_argument("--echo-matrix", action="store_true",
                         help="print the validated Cartan matrix as JSON")
     parser.add_argument("--show-matrix", action="store_true",

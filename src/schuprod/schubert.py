@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import groupby
-from operator import add, attrgetter
+from operator import add
+from threading import Lock
 from typing import Optional
 
-from .errors import LengthMismatch, NegativeConstant, NotMinimalRep
+from .errors import GroupTooLarge, LengthMismatch, NegativeConstant, NotMinimalRep
 from .relmat import RelativeCartanMatrix, _reduced_letters, relative_matrix_of_letters
 from .rootsys import CartanMatrix
 from .triop import HomogPoly, eliminate
@@ -33,10 +33,10 @@ from .weyl import (
     ParabolicSubset,
     WeylElement,
     climb,
+    coset_levels,
     is_minimal_rep,
     left_multiply,
     longest_element,
-    minimal_coset_reps,
     poincare_dual,
     reduced_word,
     DEFAULT_MAX_GROUP_ORDER,
@@ -191,9 +191,12 @@ class FlagManifold:
         self.parabolic = p = ParabolicSubset.of(parabolic)
         p.validate(c)
         self.word = cache(lambda x: reduced_word(x, c))
-        self._levels = cache(lambda: {
-            d: tuple(reps) for d, reps in groupby(minimal_coset_reps(c, p, max_order), attrgetter("length"))
-        })
+        # One walk, extended under the lock by level(d) to the deepest level
+        # asked for; a generator cannot be advanced by two threads at once.
+        self._walk = coset_levels(c, p, max_order)
+        self._levels: list[tuple[WeylElement, ...]] = []
+        self._walk_lock = Lock()
+        self._walk_error: Optional[GroupTooLarge] = None
         # w0 costs O(rank·l(w0)), far more than dim's climb, so it waits for a dual.
         longest = cache(lambda: (longest_element(c), longest_element(c, p.indices)))
         # dual(x) = x∨ = w0·x·w0_P, whose class is Poincaré dual to that of x.
@@ -205,8 +208,27 @@ class FlagManifold:
         return climb(self.c, self.parabolic.weight(self.c))[1]
 
     def level(self, d: int) -> tuple[WeylElement, ...]:
-        """The representatives of length d; the first call walks W/W' up to max_order."""
-        return self._levels().get(d, ())
+        """The representatives of length d, sorted on the canonical form.
+
+        The walk of W/W' goes on from the deepest level built so far to
+        level d and no further; () for d < 0 or d > dim walks nothing.
+        Raises GroupTooLarge once the levels walked hold more than
+        max_order representatives, and again on every later call that
+        needs a level past them.
+        """
+        if not 0 <= d <= self.dim:
+            return ()
+        if d >= len(self._levels):
+            with self._walk_lock:
+                while d >= len(self._levels):
+                    if self._walk_error is not None:
+                        raise GroupTooLarge(str(self._walk_error))
+                    try:
+                        self._levels.append(next(self._walk))
+                    except GroupTooLarge as exc:
+                        self._walk_error = exc
+                        raise
+        return self._levels[d]
 
     def check_reps(self, **elements) -> None:
         """Raise NotMinimalRep unless every named element is shortest in its coset."""

@@ -21,7 +21,8 @@ Letters are 1-based simple-root indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .errors import GroupTooLarge
 from .rootsys import CartanMatrix
@@ -163,7 +164,7 @@ def climb(c: CartanMatrix, weight, indices=None) -> tuple[tuple[int, ...], int]:
     """Apply up-steps s_i (coordinate i > 0, i among indices, all by
     default) to a weight until none is left: the end point and the step
     count.  From lambda_P each step lengthens a representative by one
-    (see minimal_coset_reps), so the count is l(w0) - l(w0_P)."""
+    (see coset_levels), so the count is l(w0) - l(w0_P)."""
     idx = range(1, c.n + 1) if indices is None else sorted(indices)
     steps = 0
     while (i := next((i for i in idx if weight[i - 1] > 0), None)) is not None:
@@ -212,15 +213,17 @@ def is_minimal_rep(e: WeylElement, p: ParabolicSubset, c: CartanMatrix) -> bool:
     return all(image[i - 1] > 0 for i in p.indices)
 
 
-def minimal_coset_reps(
+def coset_levels(
     c: CartanMatrix, p, max_order: int = DEFAULT_MAX_GROUP_ORDER
-) -> list[WeylElement]:
-    """Minimal-length representatives of the cosets w W', by length, then
-    lexicographically on the canonical form.
+) -> Iterator[tuple[WeylElement, ...]]:
+    """The minimal-length representatives of the cosets w W', level by
+    level: level 0, 1, 2, ... in turn, each a tuple sorted on the
+    canonical form, built only when the caller asks for it.
 
     p is a ParabolicSubset or an iterable of 1-based indices; the empty
     set gives all of W, the full set just the identity.  Raises
-    GroupTooLarge past max_order representatives.
+    GroupTooLarge as soon as the levels built so far hold more than
+    max_order representatives.
 
     The walk is breadth-first on the orbit of lambda_P, the sum of the
     fundamental weights outside p (coordinate i is 0 for i in p, else 1).
@@ -229,32 +232,42 @@ def minimal_coset_reps(
     the pairing of lambda_P with x^-1(a_i), is positive exactly when
     s_i * x is a longer representative (0: same coset, negative:
     shorter).  Peeling a left descent keeps a representative minimal,
-    so these up-steps from lambda_P reach every representative.
+    so these up-steps from lambda_P reach every representative, and each
+    lengthens by exactly one: the next level is the up-steps of this one,
+    and only the level being built is held to find repeats.
     """
     p = ParabolicSubset.of(p)
     p.validate(c)
-    seen = {p.weight(c): identity(c)}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for image in frontier:
-            for i in range(1, c.n + 1):
-                if image[i - 1] > 0:
-                    nxt = apply_simple_reflection(i, image, c)
-                    if nxt not in seen:
-                        cur = seen[image]
+    level = {p.weight(c): identity(c)}
+    walked = 1
+    while level:
+        yield tuple(sorted(level.values(), key=attrgetter("rho_image")))
+        fresh: dict[tuple[int, ...], WeylElement] = {}
+        for image, cur in level.items():
+            for i, row in enumerate(c.entries, 1):
+                if (vi := image[i - 1]) > 0:
+                    # apply_simple_reflection(i, image, c), with i known valid.
+                    nxt = tuple([x - vi * r for x, r in zip(image, row)])
+                    if nxt not in fresh:
                         # With p empty, lambda_P is rho: nxt is already the
                         # canonical form of s_i * cur, and one tuple serves
                         # as key and element.
-                        seen[nxt] = (
+                        fresh[nxt] = (
                             left_multiply(i, cur, c) if p.indices
                             else WeylElement(nxt, cur.length + 1)
                         )
-                        fresh.append(nxt)
-                        if len(seen) > max_order:
+                        walked += 1
+                        if walked > max_order:
                             raise GroupTooLarge(f"representative set exceeds max_order={max_order}")
-        frontier = fresh
-    return sorted(seen.values(), key=lambda w: (w.length, w.rho_image))
+        level = fresh
+
+
+def minimal_coset_reps(
+    c: CartanMatrix, p, max_order: int = DEFAULT_MAX_GROUP_ORDER
+) -> list[WeylElement]:
+    """Every minimal coset representative of W/W', by length, then
+    lexicographically on the canonical form: coset_levels run to the end."""
+    return [e for level in coset_levels(c, p, max_order) for e in level]
 
 
 def parse_word(text: str) -> Word:

@@ -1,6 +1,28 @@
 import pytest
 
-from schuprod import cartan_matrix_by_name
+from schuprod import cartan_matrix_by_name, schubert, weyl
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """One list per walk of W/W' that built a level (a weyl.coset_levels
+    generator advanced at least once, under either name), holding the size
+    of each level it built: its length counts the walks, its sum of sums
+    the representatives built."""
+    started = []
+    original = weyl.coset_levels
+
+    def counting(*args, **kwargs):
+        sizes = []
+        for level in original(*args, **kwargs):
+            if not sizes:
+                started.append(sizes)
+            sizes.append(len(level))
+            yield level
+
+    monkeypatch.setattr(weyl, "coset_levels", counting)
+    monkeypatch.setattr(schubert, "coset_levels", counting)
+    return started
 
 
 @pytest.fixture(scope="session")

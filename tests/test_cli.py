@@ -9,6 +9,7 @@ import pytest
 from schuprod import (
     cartan_matrix_by_name,
     cli,
+    oracles,
     product_expansion,
     relmat,
     schubert,
@@ -669,21 +670,6 @@ def test_dual_orientation_computes_w0_and_w0_p_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.fixture
-def walks(monkeypatch):
-    """The argument tuples of every minimal_coset_reps call, under either name."""
-    calls = []
-    original = weyl.minimal_coset_reps
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(weyl, "minimal_coset_reps", counting)
-    monkeypatch.setattr(schubert, "minimal_coset_reps", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "argv, count",
     [
@@ -707,6 +693,52 @@ def test_library_walks_only_for_expansions(walks):
     assert walks == []
     assert [t.value for t in product_expansion(h, x, b3, (2, 3))] == [2]
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (["--type", "E6", "--table", "1", "2"], [1, 6, 20, 50]),
+        (["--type", "A3", "--parabolic", "1,3", "--table", "1", "1"], [1, 1, 2]),
+    ],
+)
+def test_table_walks_only_to_the_deepest_level_asked(capsys, walks, argv, sizes):
+    # A table of degrees d1, d2 needs levels d1, d2 and d1 + d2: the walk
+    # builds levels 0..d1+d2 and stops, 77 of the E6 flag's 51,840
+    # elements and 4 of Gr(2,4)'s 6 cells.
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and walks == [sizes]
+
+
+def test_e7_flag_table_answers(capsys):
+    # The whole-group walk passed the default bound of 10^6 here (exit 2).
+    code, out, err = run_cli(capsys, "--type", "E7", "--table", "1", "1")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 7 * 7
+
+
+def test_e7_flag_degree_one_products_match_chevalley(capsys):
+    e7 = cartan_matrix_by_name("E7")
+    code, out, _ = run_cli(capsys, "--type", "E7", "--table", "1", "2", "--json")
+    assert code == 0
+    products: dict = {}
+    for rec in json.loads(out)["records"]:
+        v, w = (weyl.element_of_word(rec[key], e7) for key in ("v_word", "w_word"))
+        products.setdefault((rec["u_word"][0], v), {})[w] = rec["value"]
+    space = schubert.FlagManifold(e7)
+    assert len(products) == len(space.level(1)) * len(space.level(2))
+    for (i, v), product in products.items():
+        assert oracles.chevalley(i, v, e7) == product
+
+
+def test_product_past_the_top_degree_walks_nothing(capsys, walks):
+    # l(w0) + 1 exceeds dim G/B, so the product is 0 without a walk; the
+    # whole-group walk refused it at the default bound (exit 2).
+    e7 = cartan_matrix_by_name("E7")
+    w0 = weyl.format_word(weyl.reduced_word(weyl.longest_element(e7), e7))
+    code, out, err = run_cli(capsys, "--type", "E7", "--u", w0, "--v", "1", "--expand")
+    assert (code, out, err) == (0, f"P[{w0}] * P[1] = 0\n", "")
+    assert walks == []
 
 
 @pytest.mark.parametrize("argv", [["--type", "A100000", "--table", "1", "1"], ["--type", "B1000000000000", "--echo-matrix"]])

@@ -1,8 +1,12 @@
 import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from schuprod import (
+    GroupTooLarge,
     LengthMismatch,
     NegativeConstant,
     NotMinimalRep,
@@ -497,7 +501,7 @@ def test_full_flag_structure_constant_uses_the_chosen_orientation(g2, g2_data, m
 
 @pytest.mark.parametrize("include_zeros", [False, True])
 @pytest.mark.parametrize("name, parabolic", [("G2", ()), ("A3", (2,)), ("A3", (1, 3))])
-def test_expand_is_product_expansion_pair_by_pair(monkeypatch, name, parabolic, include_zeros):
+def test_expand_is_product_expansion_pair_by_pair(walks, name, parabolic, include_zeros):
     # Every pair of representatives, of every degree (those past dim G/P
     # included), in one context: one walk, and the concatenation of the
     # per-pair expansions.
@@ -505,17 +509,54 @@ def test_expand_is_product_expansion_pair_by_pair(monkeypatch, name, parabolic, 
     reps = minimal_coset_reps(c, parabolic)
     pairs = [(u, v) for u in reps for v in reps]
     expected = [t for u, v in pairs for t in product_expansion(u, v, c, parabolic, include_zeros)]
-    walks = []
-    original = schubert.minimal_coset_reps
-
-    def counting(*args):
-        walks.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(schubert, "minimal_coset_reps", counting)
+    walks.clear()
     assert FlagManifold(c, parabolic).expand(pairs, include_zeros) == expected
     assert len(walks) == 1
     assert any(t.value == 0 for t in expected) == include_zeros
+
+
+def test_level_walks_only_as_deep_as_asked(walks, a3):
+    reflections = tuple(e for e in minimal_coset_reps(a3, ()) if e.length == 1)
+    walks.clear()
+    space = FlagManifold(a3)
+    assert space.level(-1) == () and space.level(space.dim + 1) == ()
+    assert walks == []
+    assert space.level(1) == reflections
+    assert walks == [[1, 3]]
+
+
+def test_a_refused_walk_stays_refused(a3):
+    # The walk is a generator, which a raise ends: the next call must not
+    # read that end as "no more levels" and answer ().
+    space = FlagManifold(a3, max_order=5)
+    for d in (2, 2, 3):
+        with pytest.raises(GroupTooLarge, match="max_order=5"):
+            space.level(d)
+    assert len(space.level(1)) == 3
+
+
+def test_threads_sharing_a_context_get_the_same_levels(walks):
+    # Four threads, more than the cores, switching every 10 us: unlocked,
+    # two of them advance the walk's generator at once and one raises.
+    e6 = cartan_matrix_by_name("E6")
+    space = FlagManifold(e6)
+    depths = range(14)
+    start = threading.Barrier(4, timeout=30)
+
+    def levels(_):
+        start.wait()
+        return [space.level(d) for d in depths]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(levels, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    reps = minimal_coset_reps(e6, ())
+    assert results == [[tuple(e for e in reps if e.length == d) for d in depths]] * 4
+    assert len(walks) == 2  # the context's, then minimal_coset_reps's
 
 
 @pytest.mark.parametrize(
