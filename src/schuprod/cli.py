@@ -26,9 +26,9 @@ from typing import Optional
 
 from . import schubert, selftest, weyl
 from .errors import GroupTooLarge, NegativeConstant, SchubertError
-from .relmat import cartan_matrix_of_word, element_of_reduced_word
+from .relmat import element_of_reduced_word, relative_matrix_of_letters
 from .rootsys import CartanMatrix, cartan_matrix_by_name, validate_cartan
-from .weyl import Word, element_of_word
+from .weyl import Word
 
 
 @dataclass
@@ -248,34 +248,22 @@ def run(spec: JobSpec) -> dict:
     }
     if spec.echo_matrix:
         report["matrix_echo"] = c.as_lists()
-    if spec.show_matrix:
+    if spec.mode == "constant":
+        u, v, w = (element_of_reduced_word(word, c) for word in (spec.u_word, spec.v_word, spec.w_word))
+        space.check_reps(u=u, v=v, w=w)
+        (value,) = space.constants([(u, v, w)])
+        report["record"] = _record(spec.u_word, spec.v_word, spec.w_word, value)
+    elif spec.show_matrix:
         if spec.w_word is None:
             raise ValueError("--show-matrix needs --w")
-        # Constant mode reports the matrix it evaluates with.
-        if spec.mode != "constant":
-            report["relative_matrix"] = cartan_matrix_of_word(spec.w_word, c).as_lists()
-    if spec.mode == "inspect":
-        return report
-
-    if spec.mode == "constant":
-        u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
-        if spec.parabolic:
-            space.check_reps(u=u, v=v, w=element_of_word(spec.w_word, c))
-        # Evaluate with the caller's decomposition so the verbose data
-        # describes exactly what was computed; the word is checked once.
-        (value,), matrix, solutions = schubert._evaluate(spec.w_word, [(u, v)], c)
-        report["record"] = _record(spec.u_word, spec.v_word, spec.w_word, value)
-        if spec.show_matrix:
-            report["relative_matrix"] = matrix.as_lists()
-        if spec.verbose:
-            report["detail"] = {
-                "w_word": list(spec.w_word),
-                "relative_matrix": matrix.as_lists(),
-                "u_solutions": [list(L) for L in solutions[u]],
-                "v_solutions": [list(L) for L in solutions[v]],
-                "u_sum": _sum_records(solutions[u], matrix.k),
-                "v_sum": _sum_records(solutions[v], matrix.k),
-            }
+        element_of_reduced_word(spec.w_word, c)
+    # The --w letters are checked by now; the matrix and working shown are
+    # those of the caller's word, whose constant is the one computed.
+    if spec.show_matrix:
+        report["relative_matrix"] = relative_matrix_of_letters(spec.w_word, c).as_lists()
+    if spec.verbose:
+        report["detail"] = _working(spec.w_word, u, v, c)
+    if spec.mode in ("inspect", "constant"):
         return report
 
     if spec.mode == "expand":
@@ -294,6 +282,21 @@ def run(spec: JobSpec) -> dict:
     report["records"] = _expansion_records(space, pairs, spec.include_zeros)
     report["evaluation"] = space.evaluation(d1, d2)
     return report
+
+
+def _working(letters, u, v, c) -> dict:
+    """The working of a^w_{u,v} on the caller's reduced word of w: its
+    relative matrix, and the solutions and subword sum of u and of v."""
+    matrix = relative_matrix_of_letters(letters, c)
+    u_sols, v_sols = (schubert._solutions(letters, x, c) for x in (u, v))
+    return {
+        "w_word": list(letters),
+        "relative_matrix": matrix.as_lists(),
+        "u_solutions": [list(L) for L in u_sols],
+        "v_solutions": [list(L) for L in v_sols],
+        "u_sum": _sum_records(u_sols, matrix.k),
+        "v_sum": _sum_records(v_sols, matrix.k),
+    }
 
 
 def _sum_records(solutions, k: int) -> list[dict]:

@@ -104,24 +104,6 @@ def lr_coefficient(lam, mu, nu) -> int:
     return total
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse a bracketed list like "[2,1]"; "[]" is the empty partition."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"cannot parse partition {text!r}")
-    body = body[1:-1].strip()
-    if not body:
-        return ()
-    try:
-        return _as_partition(int(part) for part in body.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse partition {text!r}: {exc}") from None
-
-
-def format_partition(p) -> str:
-    return "[" + ",".join(str(x) for x in p) + "]"
-
-
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
     """All partitions fitting in rows x cols, in lexicographic order."""
     out: list[Partition] = []

@@ -73,10 +73,6 @@ class Root:
     def is_positive(self) -> bool:
         return any(x > 0 for x in self.coords)
 
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
 
 def simple_root(i: int, n: int) -> Root:
     """The i-th simple root (1-based) of a rank-n system."""

@@ -26,7 +26,7 @@ from threading import Lock
 from typing import Optional
 
 from .errors import GroupTooLarge, LengthMismatch, NegativeConstant, NotMinimalRep
-from .relmat import RelativeCartanMatrix, _reduced_letters, relative_matrix_of_letters
+from .relmat import _reduced_letters, relative_matrix_of_letters
 from .rootsys import CartanMatrix
 from .triop import HomogPoly, eliminate
 from .weyl import (
@@ -109,34 +109,34 @@ def structure_constants_for_word(word, pairs, c: CartanMatrix) -> list[int]:
     """Constants on the element of the given reduced word for each pair
     (u, v) of pairs, evaluated with exactly that word.
 
-    The word is checked once, its relative matrix built once, each
-    distinct factor's subword equations solved once, and all products go
-    through one batched elimination of the triangular operator.  The
-    value depends only on the element (tested, not assumed); evaluating
-    with the caller's word lets the CLI display the decomposition the
-    caller supplied.
+    The word is checked to be reduced, and each pair's lengths to sum to
+    its length; _constants_of_letters does the rest.  The value depends
+    only on the element (tested, not assumed), so this route on a word of
+    the caller's choice is the reference that FlagManifold.constants, on
+    its own canonical words, is tested against.
     """
-    return _evaluate(word, pairs, c)[0]
-
-
-def _evaluate(
-    word, pairs, c: CartanMatrix
-) -> tuple[list[int], RelativeCartanMatrix, dict[WeylElement, list[tuple[int, ...]]]]:
-    """structure_constants_for_word, plus the working it went through: the
-    word's relative matrix and each distinct factor's solutions.  Products
-    go straight into the operator's merged form (triop.eliminate)."""
     letters = _reduced_letters(word, c)
-    k = len(letters)
     pairs = list(pairs)
     for u, v in pairs:
-        if k != u.length + v.length:
-            raise LengthMismatch(f"word length {k} but l(u)+l(v)={u.length + v.length}")
-    solutions: dict[WeylElement, list[tuple[int, ...]]] = {}
+        if len(letters) != u.length + v.length:
+            raise LengthMismatch(f"word length {len(letters)} but l(u)+l(v)={u.length + v.length}")
+    return _constants_of_letters(letters, pairs, c)
+
+
+def _constants_of_letters(letters: tuple[int, ...], pairs, c: CartanMatrix) -> list[int]:
+    """structure_constants_for_word on letters already known to be a
+    reduced word, for pairs whose lengths already sum to its length.
+
+    The word's relative matrix is built once, each distinct factor's
+    subword equations solved once, and all products go straight into one
+    batched elimination of the triangular operator (triop.eliminate).
+    """
+    k = len(letters)
+    exponents: dict[WeylElement, list[tuple[int, ...]]] = {}
     for factor in (x for pair in pairs for x in pair):
-        if factor not in solutions:
-            solutions[factor] = _solutions(letters, factor, c)
-    exponents = {x: [_exponents(L, k) for L in sols] for x, sols in solutions.items()}
-    batch = [j for j, (u, v) in enumerate(pairs) if solutions[u] and solutions[v]]
+        if factor not in exponents:
+            exponents[factor] = [_exponents(L, k) for L in _solutions(letters, factor, c)]
+    batch = [j for j, (u, v) in enumerate(pairs) if exponents[u] and exponents[v]]
     terms: dict[tuple, list[int]] = {}
     for slot, j in enumerate(batch):
         u, v = pairs[j]
@@ -151,7 +151,7 @@ def _evaluate(
         if value < 0:
             raise NegativeConstant(f"negative structure constant {value} for word {letters}")
         values[j] = value
-    return values, a, solutions
+    return values
 
 
 def structure_constant_for_word(
@@ -246,25 +246,40 @@ class FlagManifold:
         return {"orientation": orientation, "word_length": k}
 
     def constants(self, triples) -> list[int]:
-        """a^w_{u,v} for each (u, v, w) of triples, in their order.
+        """a^w_{u,v} for each (u, v, w) of triples, in their order; raises
+        LengthMismatch unless l(w) = l(u) + l(v).
 
         Each triple is evaluated in the orientation choose_orientation
         picks for (l(u), l(v)), with one batched elimination per target
         word: the word of w for the direct triples, whose factors are
         (u, v), and the word of u∨ (or v∨) for the dual ones, whose factors
-        are (v, w∨) (or (u, w∨)).  A triple with l(w) != l(u) + l(v) has
-        no orientation whose word fits its factors, so _evaluate refuses it.
+        are (v, w∨) (or (u, w∨)).  These canonical words are reduced by
+        construction, so no word is checked here.
+
+        A dual word is the shorter only when dim < l(w) + max(l(u), l(v)).
+        Until dim is known, the climb that gives it stops at the largest
+        such bound of the triples: past the bound every choice is direct,
+        so min(dim, bound) picks as dim does.
         """
         triples = list(triples)
+        bound = 0
+        for u, v, w in triples:
+            if w.length != u.length + v.length:
+                raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
+            bound = max(bound, w.length + max(u.length, v.length))
+        if "dim" in vars(self):
+            dim = self.dim
+        else:
+            dim = climb(self.c, self.parabolic.weight(self.c), limit=bound)[1]
         batches: dict[WeylElement, list] = {}
         for j, (u, v, w) in enumerate(triples):
-            chosen = choose_orientation(u.length, v.length, self.dim)[0]
+            chosen = choose_orientation(u.length, v.length, dim)[0]
             x, y = (u, v) if chosen == "dual_u" else (v, u)
             target, pair = (w, (u, v)) if chosen == "direct" else (self.dual(x), (y, self.dual(w)))
             batches.setdefault(target, []).append((j, pair))
         values = [0] * len(triples)
         for target, batch in batches.items():
-            constants = structure_constants_for_word(self.word(target), [pair for _, pair in batch], self.c)
+            constants = _constants_of_letters(self.word(target), [pair for _, pair in batch], self.c)
             for (j, _), value in zip(batch, constants):
                 values[j] = value
         return values
@@ -299,8 +314,6 @@ def structure_constant(
     """
     space = FlagManifold(c, parabolic or ())
     space.check_reps(u=u, v=v, w=w)
-    if w.length != u.length + v.length:
-        raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
     return space.constants([(u, v, w)])[0]
 
 

@@ -14,6 +14,9 @@ from . import oracles, schubert, triop, weyl
 from .relmat import cartan_matrix_of_word
 from .rootsys import cartan_matrix_by_name
 
+# The random spot checks draw from one fixed seed: every run checks the same inputs.
+RNG_SEED = 90721
+
 G2_WORD_W = (2, 1, 2, 1, 2)
 G2_WORD_W2 = (1, 2, 1, 2, 1)
 
@@ -54,9 +57,9 @@ def _check(results, name, condition, detail=""):
     results.append(CheckResult(name, bool(condition), "" if condition else detail))
 
 
-def run_selftest(rng_seed: int = 90721) -> list[CheckResult]:
+def run_selftest() -> list[CheckResult]:
     results: list[CheckResult] = []
-    rng = random.Random(rng_seed)
+    rng = random.Random(RNG_SEED)
     g2 = cartan_matrix_by_name("G2")
 
     # Relative Cartan matrices of the two rank-2 words.

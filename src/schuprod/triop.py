@@ -75,10 +75,6 @@ class HomogPoly:
     def one(cls, k: int) -> "HomogPoly":
         return cls(k, 0, {(0,) * k: 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, exponents) -> int:
         return self.terms.get(tuple(exponents), 0)
 

@@ -160,14 +160,15 @@ def multiply(a: WeylElement, b: WeylElement, c: CartanMatrix) -> WeylElement:
     return out
 
 
-def climb(c: CartanMatrix, weight, indices=None) -> tuple[tuple[int, ...], int]:
+def climb(c: CartanMatrix, weight, indices=None, limit=None) -> tuple[tuple[int, ...], int]:
     """Apply up-steps s_i (coordinate i > 0, i among indices, all by
-    default) to a weight until none is left: the end point and the step
-    count.  From lambda_P each step lengthens a representative by one
-    (see coset_levels), so the count is l(w0) - l(w0_P)."""
+    default) to a weight until none is left, or limit steps are taken:
+    the end point and the step count.  From lambda_P each step lengthens
+    a representative by one (see coset_levels), so the count is
+    l(w0) - l(w0_P), or limit if that is smaller."""
     idx = range(1, c.n + 1) if indices is None else sorted(indices)
     steps = 0
-    while (i := next((i for i in idx if weight[i - 1] > 0), None)) is not None:
+    while steps != limit and (i := next((i for i in idx if weight[i - 1] > 0), None)) is not None:
         weight = apply_simple_reflection(i, weight, c)
         steps += 1
     return tuple(weight), steps

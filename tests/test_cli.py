@@ -14,6 +14,7 @@ from schuprod import (
     relmat,
     schubert,
     structure_constant,
+    structure_constant_for_word,
     triop,
     weyl,
 )
@@ -341,11 +342,20 @@ def test_job_file_errors(tmp_path, capsys):
     assert code == 1 and "group" in err
 
 
-@pytest.mark.parametrize(
-    "name, parabolic, degrees",
-    [("A3", "", (1, 2)), ("B3", "2,3", (1, 2)), ("C3", "", (2, 2)), ("G2", "", (2, 3))],
-)
+# Every degree pair up to 2 on these spaces, after the first four cases.
+TABLE_CASES = [("A3", "", (1, 2)), ("B3", "2,3", (1, 2)), ("C3", "", (2, 2)), ("G2", "", (2, 3))] + [
+    (name, parabolic, (d1, d2))
+    for name, parabolic in [("G2", ""), ("B3", ""), ("B3", "2,3"), ("A3", "1,3"), ("D4", "1")]
+    for d1 in range(3)
+    for d2 in range(3)
+]
+
+
+@pytest.mark.parametrize("name, parabolic, degrees", TABLE_CASES)
 def test_table_matches_per_triple_constants(capsys, name, parabolic, degrees):
+    # Each record is the library's constant, and constant mode gives it
+    # too on the lexicographically last reduced word of w, equal to the
+    # constant evaluated on exactly that word.
     d1, d2 = degrees
     code, out, _ = run_cli(
         capsys, "--type", name, "--parabolic", parabolic, "--table", str(d1), str(d2),
@@ -355,6 +365,12 @@ def test_table_matches_per_triple_constants(capsys, name, parabolic, degrees):
     c = cartan_matrix_by_name(name)
     indices = weyl.parse_word(parabolic)
     reps = weyl.minimal_coset_reps(c, indices)
+    triples = [
+        (u, v, w)
+        for u in reps if u.length == d1
+        for v in reps if v.length == d2
+        for w in reps if w.length == d1 + d2
+    ]
     expected = [
         {
             "u_word": list(weyl.reduced_word(u, c)),
@@ -362,13 +378,21 @@ def test_table_matches_per_triple_constants(capsys, name, parabolic, degrees):
             "w_word": list(weyl.reduced_word(w, c)),
             "value": structure_constant(u, v, w, c, indices or None),
         }
-        for u in reps if u.length == d1
-        for v in reps if v.length == d2
-        for w in reps if w.length == d1 + d2
+        for u, v, w in triples
     ]
     records = json.loads(out)["records"]
     assert records == expected
     assert any(r["value"] for r in records)
+    for (u, v, w), record in zip(triples, records):
+        w_word = max(weyl.all_reduced_words(w, c))
+        words = {key: weyl.format_word(record[key]) for key in ("u_word", "v_word")}
+        code, out, _ = run_cli(
+            capsys, "--type", name, "--parabolic", parabolic, "--u", words["u_word"],
+            "--v", words["v_word"], "--w", weyl.format_word(w_word), "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["record"] == dict(record, w_word=list(w_word))
+        assert record["value"] == structure_constant_for_word(w_word, u, v, c)
 
 
 def test_negative_constant_exits_2(capsys, monkeypatch):
@@ -492,16 +516,21 @@ G2_VERBOSE_REPORT = {
         (
             ("--type", "B3", "--parabolic", "2,3", "--u", "1", "--v", "2,1", "--w", "3,2,1",
              "--verbose"),
-            4,
+            3,
             "w word: 3,2,1\nrelative matrix:\n    0   2   0\n    0   0   1\n    0   0   0\n"
             "u solutions: (3,)\nv solutions: (2, 3)\n2\n",
         ),
+        (
+            ("--type", "G2", "--u", "2,1,2", "--v", "1,2", "--w", "2,1,2,1,2", "--show-matrix"),
+            3,
+            G2_MATRIX_W_TEXT + "\n1\n",
+        ),
     ],
-    ids=["G2-text", "G2-json", "B3-parabolic-text"],
+    ids=["G2-text", "G2-json", "B3-parabolic-text", "G2-show-matrix"],
 )
 def test_constant_mode_spells_each_word_once(capsys, monkeypatch, argv, calls, expected):
-    # u and v once each, w once for its reducedness check and, with a
-    # parabolic subset, once more for the coset-minimality check.
+    # u, v and w once each, where they enter: the coset-minimality check,
+    # the constant, the matrix and the working reuse the checked words.
     seen = []
     original = weyl.element_of_word
 
@@ -509,7 +538,7 @@ def test_constant_mode_spells_each_word_once(capsys, monkeypatch, argv, calls, e
         seen.append(tuple(word))
         return original(word, c)
 
-    for module in (weyl, relmat, cli):
+    for module in (weyl, relmat):
         monkeypatch.setattr(module, "element_of_word", counting)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == expected
@@ -558,6 +587,28 @@ def test_e7_p7_degree_13_squared_runs_on_the_dual_word(capsys):
         expansions.append([(r["w_word"], r["value"]) for r in report["records"]])
     assert expansions[0] == expansions[1]
     assert [value for _, value in expansions[0]] == [1]
+
+
+def test_e7_p7_degree_13_squared_constant_runs_on_the_dual_word(capsys, monkeypatch):
+    # Constant mode evaluates like --expand, on the length-14 word of u∨,
+    # not on the caller's length-26 word of w; an elimination of more than
+    # 14 rows is refused here rather than left to run.
+    original = schubert.eliminate
+
+    def bounded(rows, terms, n):
+        if len(rows) > 14:
+            raise AssertionError(f"eliminating {len(rows)} rows")
+        return original(rows, terms, n)
+
+    monkeypatch.setattr(schubert, "eliminate", bounded)
+    u, v = E7_P7_DEGREE_13
+    w = "6,5,4,2,3,1,4,3,5,4,2,6,5,4,3,1,7,6,5,4,2,3,4,5,6,7"
+    code, out, _ = run_cli(capsys, *E7_P7, "--u", u, "--v", v, "--w", w, "--json")
+    assert code == 0
+    record = json.loads(out)["record"]
+    code, out, _ = run_cli(capsys, *E7_P7, "--u", u, "--v", v, "--expand", "--json")
+    assert code == 0
+    assert json.loads(out)["records"] == [record] and record["value"] == 1
 
 
 @pytest.mark.parametrize(

@@ -111,21 +111,6 @@ def test_partitions_in_box():
     assert partitions_in_box(0, 5) == [()]
 
 
-def test_partition_parsing():
-    from schuprod.oracles import format_partition, parse_partition
-
-    assert parse_partition("[2,1]") == (2, 1)
-    assert parse_partition("[]") == ()
-    assert parse_partition(" [ 3 , 3 , 1 ] ".replace(" ", "")) == (3, 3, 1)
-    assert format_partition((2, 1)) == "[2,1]"
-    assert format_partition(()) == "[]"
-    assert parse_partition(format_partition((4, 2, 2))) == (4, 2, 2)
-    with pytest.raises(ValueError):
-        parse_partition("2,1")
-    with pytest.raises(ValueError):
-        parse_partition("[1,2]")
-
-
 # -- permutation realization --------------------------------------------------
 
 

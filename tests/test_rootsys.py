@@ -107,7 +107,6 @@ def test_root_validation():
     with pytest.raises(ValueError):
         Root((0, 0))
     assert Root((0, -2)).is_positive is False
-    assert Root((3, 2)).height == 5
 
 
 def test_cartan_pair_examples(g2):

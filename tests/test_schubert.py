@@ -469,13 +469,13 @@ def test_parabolic_structure_constant_uses_the_chosen_orientation(monkeypatch):
     c = cartan_matrix_by_name("B3")
     reps = minimal_coset_reps(c, (2, 3))
     seen = []
-    original = schubert.structure_constants_for_word
+    original = schubert._constants_of_letters
 
-    def recording(word, pairs, c):
-        seen.append(len(word))
-        return original(word, pairs, c)
+    def recording(letters, pairs, c):
+        seen.append(len(letters))
+        return original(letters, pairs, c)
 
-    monkeypatch.setattr(schubert, "structure_constants_for_word", recording)
+    monkeypatch.setattr(schubert, "_constants_of_letters", recording)
     assert choose_orientation(1, 3, 5) == ("dual_v", 2)
     assert structure_constant(reps[1], reps[3], reps[4], c, parabolic=(2, 3)) == 1
     assert seen == [2]
@@ -486,17 +486,38 @@ def test_full_flag_structure_constant_uses_the_chosen_orientation(g2, g2_data, m
     # l(v) = 2 is evaluated on the word of u∨ (length 3), not on the
     # length-5 word of w, just as product_expansion evaluates it.
     seen = []
-    original = schubert.structure_constants_for_word
+    original = schubert._constants_of_letters
 
-    def recording(word, pairs, c):
-        seen.append(len(word))
-        return original(word, pairs, c)
+    def recording(letters, pairs, c):
+        seen.append(len(letters))
+        return original(letters, pairs, c)
 
-    monkeypatch.setattr(schubert, "structure_constants_for_word", recording)
+    monkeypatch.setattr(schubert, "_constants_of_letters", recording)
     assert choose_orientation(3, 2, 6) == ("dual_u", 3)
     assert structure_constant(g2_data["u"], g2_data["v"], g2_data["w"], g2) == 1
     assert structure_constant(g2_data["u"], g2_data["v"], g2_data["w2"], g2) == 0
     assert seen == [3, 3]
+
+
+def test_constants_climb_no_further_than_a_dual_could_pay(monkeypatch):
+    # A100/B has dimension 5,050.  For a triple of degree 2 a dual word is
+    # shorter only when dim < l(w) + max(l(u), l(v)) = 3, so the climb
+    # stops after 3 steps and dim itself stays uncomputed.
+    c = cartan_matrix_by_name("A100")
+    u, v, w = (element_of_word(word, c) for word in [(1,), (2,), (1, 2)])
+    climbs = []
+    original = schubert.climb
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        climbs.append((kwargs.get("limit"), result[1]))
+        return result
+
+    monkeypatch.setattr(schubert, "climb", recording)
+    space = FlagManifold(c)
+    assert space.constants([(u, v, w)]) == [1]
+    assert "dim" not in space.__dict__
+    assert climbs == [(3, 3)]
 
 
 @pytest.mark.parametrize("include_zeros", [False, True])

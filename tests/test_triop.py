@@ -79,7 +79,7 @@ def test_poly_validation():
         HomogPoly(2, 1, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
         HomogPoly(2, 0, {(-1, 1): 1})
-    assert HomogPoly(2, 2, {(1, 1): 0}).is_zero
+    assert HomogPoly(2, 2, {(1, 1): 0}).terms == {}
 
 
 def test_poly_mismatch_errors():
