@@ -286,24 +286,15 @@ def run(spec: JobSpec) -> dict:
 
 def _working(letters, u, v, c) -> dict:
     """The working of a^w_{u,v} on the caller's reduced word of w: its
-    relative matrix, and the solutions and subword sum of u and of v."""
-    matrix = relative_matrix_of_letters(letters, c)
-    u_sols, v_sols = (schubert._solutions(letters, x, c) for x in (u, v))
-    return {
-        "w_word": list(letters),
-        "relative_matrix": matrix.as_lists(),
-        "u_solutions": [list(L) for L in u_sols],
-        "v_solutions": [list(L) for L in v_sols],
-        "u_sum": _sum_records(u_sols, matrix.k),
-        "v_sum": _sum_records(v_sols, matrix.k),
-    }
-
-
-def _sum_records(solutions, k: int) -> list[dict]:
-    """A subword sum from its solutions: one {exponents, coefficient}
-    record per monomial, in exponent order."""
-    exps = sorted(schubert._exponents(L, k) for L in solutions)
-    return [{"exponents": list(e), "coefficient": 1} for e in exps]
+    relative matrix, and for u and for v the solutions and the subword
+    sum, one {exponents, coefficient} record per monomial in exponent order."""
+    working = {"w_word": list(letters), "relative_matrix": relative_matrix_of_letters(letters, c).as_lists()}
+    for name, x in (("u", u), ("v", v)):
+        solutions = schubert._solutions(letters, x, c)
+        working[f"{name}_solutions"] = [list(L) for L in solutions]
+        exponents = sorted(schubert._exponents(L, len(letters)) for L in solutions)
+        working[f"{name}_sum"] = [{"exponents": list(e), "coefficient": 1} for e in exponents]
+    return working
 
 
 def _expansion_records(space, pairs, include_zeros: bool) -> list[dict]:

@@ -197,7 +197,7 @@ class FlagManifold:
         self._levels: list[tuple[WeylElement, ...]] = []
         self._walk_lock = Lock()
         self._walk_error: Optional[GroupTooLarge] = None
-        # w0 costs O(rank·l(w0)), far more than dim's climb, so it waits for a dual.
+        # w0 and w0_P cost climbs of about l(w0) steps, far more than dim's, so they wait for a dual.
         longest = cache(lambda: (longest_element(c), longest_element(c, p.indices)))
         # dual(x) = x∨ = w0·x·w0_P, whose class is Poincaré dual to that of x.
         self.dual = cache(lambda x: poincare_dual(x, *longest(), c))
@@ -267,10 +267,8 @@ class FlagManifold:
             if w.length != u.length + v.length:
                 raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
             bound = max(bound, w.length + max(u.length, v.length))
-        if "dim" in vars(self):
-            dim = self.dim
-        else:
-            dim = climb(self.c, self.parabolic.weight(self.c), limit=bound)[1]
+        known = "dim" in vars(self)
+        dim = self.dim if known else climb(self.c, self.parabolic.weight(self.c), limit=bound)[1]
         batches: dict[WeylElement, list] = {}
         for j, (u, v, w) in enumerate(triples):
             chosen = choose_orientation(u.length, v.length, dim)[0]

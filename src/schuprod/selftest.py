@@ -14,8 +14,7 @@ from . import oracles, schubert, triop, weyl
 from .relmat import cartan_matrix_of_word
 from .rootsys import cartan_matrix_by_name
 
-# The random spot checks draw from one fixed seed: every run checks the same inputs.
-RNG_SEED = 90721
+RNG_SEED = 90721  # every run's random spot checks draw the same inputs
 
 G2_WORD_W = (2, 1, 2, 1, 2)
 G2_WORD_W2 = (1, 2, 1, 2, 1)

@@ -165,12 +165,22 @@ def climb(c: CartanMatrix, weight, indices=None, limit=None) -> tuple[tuple[int,
     default) to a weight until none is left, or limit steps are taken:
     the end point and the step count.  From lambda_P each step lengthens
     a representative by one (see coset_levels), so the count is
-    l(w0) - l(w0_P), or limit if that is smaller."""
-    idx = range(1, c.n + 1) if indices is None else sorted(indices)
+    l(w0) - l(w0_P), or limit if that is smaller.  Neither depends on the
+    order of the steps, and step i changes only the coordinates that row
+    i of the Cartan matrix reaches, so each is O(1) for a sparse matrix."""
+    idx = range(1, c.n + 1) if indices is None else indices
+    rows = {i: [(j, a) for j, a in enumerate(c.entries[i - 1]) if a] for i in idx}
+    weight = list(weight)
+    ascents = [i for i in idx if weight[i - 1] > 0]
     steps = 0
-    while steps != limit and (i := next((i for i in idx if weight[i - 1] > 0), None)) is not None:
-        weight = apply_simple_reflection(i, weight, c)
-        steps += 1
+    while ascents and steps != limit:
+        i = ascents.pop()
+        if (vi := weight[i - 1]) > 0:
+            steps += 1
+            for j, a in rows[i]:
+                weight[j] -= vi * a
+                if weight[j] > 0 and j + 1 in rows:
+                    ascents.append(j + 1)
     return tuple(weight), steps
 
 
@@ -188,9 +198,14 @@ def poincare_dual(x: WeylElement, w0: WeylElement, w0_p: WeylElement, c: CartanM
     For x minimal in its coset xW', x·w0_P is the longest element of that
     coset, so x∨ is minimal in its coset and has length
     l(w0) - l(w0_P) - l(x).  The Schubert class of x∨ is the Poincaré
-    dual of the class of x in G/P.
+    dual of the class of x in G/P.  w0 is applied without its word: with
+    y = x·w0_P and k large, k·rho + y(rho) is dominant and regular, so the
+    climb from it ends at w0 of it, -k·rho + w0(y(rho)).
     """
-    return multiply(w0, multiply(x, w0_p, c), c)
+    y = multiply(x, w0_p, c)
+    k = 1 + max(map(abs, y.rho_image))
+    end = climb(c, [k + a for a in y.rho_image])[0]
+    return WeylElement(tuple(a + k for a in end), w0.length - y.length)
 
 
 def enumerate_group(

@@ -520,6 +520,25 @@ def test_constants_climb_no_further_than_a_dual_could_pay(monkeypatch):
     assert climbs == [(3, 3)]
 
 
+def test_duals_spell_no_word_past_the_dimension(monkeypatch):
+    # A200/P{2..200} is P^200: the square of its degree-75 class is
+    # evaluated on the 125-letter word of u∨.  w0 has 20,100 letters, and
+    # the duals apply it by a climb without spelling it.
+    spell = weyl.reduced_word
+
+    def bounded(e, c):
+        if e.length > 200:
+            raise AssertionError(f"spelling a word of {e.length} letters")
+        return spell(e, c)
+
+    monkeypatch.setattr(weyl, "reduced_word", bounded)
+    monkeypatch.setattr(schubert, "reduced_word", bounded)
+    c = cartan_matrix_by_name("A200")
+    u, w = (element_of_word(range(top, 0, -1), c) for top in (75, 150))
+    assert choose_orientation(75, 75, 200) == ("dual_u", 125)
+    assert product_expansion(u, u, c, range(2, 201)) == [StructureConstant(u, u, w, 1)]
+
+
 @pytest.mark.parametrize("include_zeros", [False, True])
 @pytest.mark.parametrize("name, parabolic", [("G2", ()), ("A3", (2,)), ("A3", (1, 3))])
 def test_expand_is_product_expansion_pair_by_pair(walks, name, parabolic, include_zeros):
