@@ -171,7 +171,7 @@ def climb(c: CartanMatrix, weight, indices=None, limit=None) -> tuple[tuple[int,
     idx = range(1, c.n + 1) if indices is None else indices
     rows = {i: [(j, a) for j, a in enumerate(c.entries[i - 1]) if a] for i in idx}
     weight = list(weight)
-    ascents = [i for i in idx if weight[i - 1] > 0]
+    ascents = [i for i in rows if weight[i - 1] > 0]
     steps = 0
     while ascents and steps != limit:
         i = ascents.pop()
@@ -198,9 +198,9 @@ def poincare_dual(x: WeylElement, w0: WeylElement, w0_p: WeylElement, c: CartanM
     For x minimal in its coset xW', x·w0_P is the longest element of that
     coset, so x∨ is minimal in its coset and has length
     l(w0) - l(w0_P) - l(x).  The Schubert class of x∨ is the Poincaré
-    dual of the class of x in G/P.  w0 is applied without its word: with
-    y = x·w0_P and k large, k·rho + y(rho) is dominant and regular, so the
-    climb from it ends at w0 of it, -k·rho + w0(y(rho)).
+    dual of the class of x in G/P.  w0 is applied without its word: for
+    y = x·w0_P and k past every |coordinate| of y(rho), k·rho + y(rho) is
+    dominant and regular, so its climb ends at -k·rho + w0(y(rho)).
     """
     y = multiply(x, w0_p, c)
     k = 1 + max(map(abs, y.rho_image))
