@@ -19,7 +19,7 @@ from .errors import NotCartan, NotFiniteType
 # Off-diagonal Cartan numbers of finite type.
 _ALLOWED_OFF_DIAGONAL = (0, -1, -2, -3)
 
-# The largest rank accepted.  Validation is O(rank^3) and a named type
+# The largest rank accepted.  Validation is O(rank^2) and a named type
 # builds rank^2 cells, so larger inputs are refused before either.
 MAX_RANK = 500
 
@@ -160,25 +160,32 @@ def symmetrizer(rows) -> list[Fraction]:
 
 
 def _leading_minors(rows):
-    """The leading k x k minors of an integer matrix, k = 1..n, from one
-    fraction-free (Bareiss) elimination without pivoting, O(n^3) in all.
+    """The leading k x k minors of an integer matrix, k = 1..n: minor k is
+    the product of the first k pivots of one Gaussian elimination without
+    pivoting, in Fractions.
 
-    After step k the pivot a[k][k] is the leading (k+1) x (k+1) minor and
-    every division is exact.  A zero minor leaves the next step without a
-    divisor, so the minors stop after the first zero one.
+    Only nonzero entries are kept and touched: a row with a zero under the
+    pivot is skipped, and the pivot row subtracts only its nonzero
+    columns.  A Dynkin diagram is a forest of nodes of degree at most
+    three, so beyond the O(n^2) scan of the columns the work stays small,
+    where a dense elimination would cost O(n^3).  A zero pivot leaves the next step without a divisor, so the
+    minors stop after the first zero one.
     """
-    a = [list(row) for row in rows]
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        yield pivot
-        if pivot == 0:
+    a = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+    minor = Fraction(1)
+    for k, row in enumerate(a):
+        pivot = row.get(k, 0)
+        minor *= pivot
+        yield minor
+        if not pivot:
             return
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
+        right = [(j, x) for j, x in row.items() if j > k]
+        for lower in a[k + 1 :]:
+            factor = lower.get(k)
+            if factor:
+                factor /= pivot
+                for j, x in right:
+                    lower[j] = lower.get(j, 0) - factor * x
 
 
 def cartan_pair(b, i: int, c: CartanMatrix) -> int:

@@ -37,6 +37,7 @@ from .weyl import (
     is_minimal_rep,
     left_multiply,
     longest_element,
+    opposition,
     poincare_dual,
     reduced_word,
     DEFAULT_MAX_GROUP_ORDER,
@@ -197,8 +198,9 @@ class FlagManifold:
         self._levels: list[tuple[WeylElement, ...]] = []
         self._walk_lock = Lock()
         self._walk_error: Optional[GroupTooLarge] = None
-        # w0 and w0_P cost climbs of about l(w0) steps, far more than dim's, so they wait for a dual.
-        longest = cache(lambda: (longest_element(c), longest_element(c, p.indices)))
+        # w0_P and the opposition involution (the action of w0) cost climbs of
+        # about l(w0_P) and l(w0) steps, far more than dim's, so they wait for a dual.
+        longest = cache(lambda: (longest_element(c, p.indices), opposition(c)))
         # dual(x) = x∨ = w0·x·w0_P, whose class is Poincaré dual to that of x.
         self.dual = cache(lambda x: poincare_dual(x, *longest(), c))
 

@@ -15,21 +15,58 @@ triangular_eval_many); the independent closed-form route over balanced
 flow matrices lives with the other oracles (oracles.triangular_eval_closed),
 and tests fuzz that the two agree exactly.
 
-The recursion runs on plain dicts from exponent tuples to coefficient
-vectors, one entry per input polynomial, so several polynomials on the
-same matrix share one elimination (the operator is linear; eliminate
-takes that dict directly).  Each level applies law 3 by Horner's rule,
-one multiplication by the elimination form per step.  It also prunes:
-once a proper prefix x_1..x_i of a monomial carries degree above i,
-later steps can only raise it, so the monomial cannot reach law 2 and is
-dropped as it appears (vanishing_filter states the test; law 1 is its
-longest prefix).
+The recursion merges several polynomials on the same matrix into one
+elimination (the operator is linear; eliminate takes the merged dict
+directly).  Each level applies law 3 by Horner's rule, one
+multiplication by the elimination form per step.  It also prunes: once a
+proper prefix x_1..x_i of a monomial carries degree above i, later steps
+can only raise it, so the monomial cannot reach law 2 and is dropped as
+it appears (vanishing_filter states the test; law 1 is its longest
+prefix).
+
+Inside eliminate a monomial is one int and a coefficient vector is one
+int:
+
+  * the exponent of x_{i+1} sits in bits [b*i, b*(i+1)), with
+    b = (k+1).bit_length() + 1, so every exponent and every prefix sum of
+    exponents (at most k) fits below the top bit of its b-bit lane.
+    Raising x_{i+1} adds 1 << b*i; multiplying by sum_j 1 << b*j puts the
+    prefix sums in the lanes, so the prefix test is one multiplication,
+    one addition, one mask and one bit_length;
+  * the vector (c_0, ..., c_{n-1}) is the integer sum of c_j * 2^(W*j),
+    n signed lanes of W bits.  Adding vectors and multiplying one by an
+    integer are then single int operations.
+
+Packed vectors are exact whatever their lanes hold: the elimination only
+adds them, multiplies them by integers and drops those equal to 0, so by
+linearity the packed result is exactly the sum of v_j * 2^(W*j) over the
+true values v_j.  Lanes are only read (measured, refitted to another
+width, unpacked) when each lies in [-2^(W-1), 2^(W-1)), and eliminate
+proves that bound before every read rather than assuming it.  It keeps t
+with every lane in [-2^t, 2^t) at each level boundary:
+
+  * level m maps sum_r h_r x_{m+1}^r to sum_r h_r L^(r-1), restricted to
+    monomials that pass the prefix test (each kept coefficient is the
+    unrestricted one).  A new coefficient is a sum of old ones times
+    coefficients of L^(r-1), whose absolute values add up to at most
+    s^(r-1), s = sum_i |a_{i,m+1}|; so with R the level's top exponent its
+    absolute value is at most 2^t * (1+s)^(R-1) < 2^(t+g), with
+    g = bit_length((1+s)^(R-1)), and t grows by at most g;
+  * before a level with t + g >= W, the lanes are measured, which gives
+    the exact t, and refitted, wider or narrower, to the whole bytes that
+    hold t + g + 9 bits: a spare byte past the level's need, so that the
+    levels after it seldom measure again.  The input is packed with a
+    spare byte past the bound its entries are known to keep.
 
 All coefficients are native ints, which are arbitrary precision, so the
 exactness contract holds with no overflow concerns.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from operator import lshift
 
 from .errors import DegreeMismatch, VariableCountMismatch
 
@@ -164,16 +201,155 @@ def triangular_eval_many(a, polys) -> list[int]:
 def eliminate(rows, terms: dict, n: int) -> list[int]:
     """The operator of the strictly upper-triangular rows on each of n
     degree-k polynomials merged into terms: exponent tuple -> list of n
-    coefficients, k = len(rows)."""
-    terms = {e: vec for e, vec in terms.items() if not vanishing_filter(e)}
-    for m in range(len(rows) - 1, -1, -1):
-        if not terms:
+    coefficients, k = len(rows).
+
+    Packs each monomial and each coefficient vector into one int (see the
+    module docstring), eliminates x_k, ..., x_2 one level at a time, and
+    unpacks the coefficient of x_1, which law 2 makes the value (for k = 0,
+    that of the empty monomial).
+    """
+    k = len(rows)
+    b = (k + 1).bit_length() + 1
+    # Lane j of key * ones is the prefix sum S_j of the exponents, and lane
+    # j of ones * ones is j + 1.  Adding full sets lane j's guard bit,
+    # 2^(b-1), exactly when x_1..x_{j+1} is full (S_j >= j+1), and no lane
+    # carries, as S_j <= k < 2^(b-1); guards >> b keeps the guards of the
+    # proper prefixes, the first k-1 lanes.
+    ones = ((1 << b * k) - 1) // ((1 << b) - 1)
+    guards = ones << b - 1
+    full = guards - (ones * ones & (1 << b * k) - 1)
+    # A proper prefix past full (S_j >= j+2) is vanishing_filter's test.
+    over, proper = full - ones, guards >> b
+    shifts = range(0, b * k, b)
+    keys, vectors = [], []
+    for exps, vec in terms.items():
+        key = sum(map(lshift, exps, shifts))
+        if not (key * ones + over) & proper:
+            keys.append(key)
+            vectors.append(vec)
+    lanes, bound, vectors = _Lanes.packing(n, vectors)
+    packed = dict(zip(keys, vectors))
+    # Level m = 0 would be law 2 alone: the value is the coefficient of x_1.
+    for m in range(k - 1, 0, -1):
+        if not packed:
             break
-        terms = _eliminate_last(rows, m, terms)
-    return list(terms.get((), [0] * n))
+        column = [(1 << b * i, row[m]) for i, row in enumerate(rows[:m]) if row[m]]
+        top = max(packed) >> b * m
+        growth = ((1 + sum([abs(a) for _, a in column])) ** (top - 1)).bit_length()
+        if bound + growth >= lanes.width:
+            bound = lanes.bits(packed.values())
+            fitting = _Lanes(n, bound + growth + 8)
+            if fitting.width != lanes.width:
+                packed = lanes.relane(packed, fitting)
+                lanes = fitting
+        packed = _eliminate_last(packed, m, b, column, ones, full, guards >> b * (k - m + 1))
+        bound += growth
+    return lanes.unpack(packed.get(1 if k else 0, 0))
 
 
-def _eliminate_last(rows, m: int, terms: dict) -> dict:
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+class _Lanes:
+    """n signed lanes packed into one int, each a whole number of bytes
+    wide: the vector (c_0, ..., c_{n-1}) is the integer sum of
+    c_j * 2^(width*j).  A lane reads back correctly while it lies in
+    [-2^(width-1), 2^(width-1))."""
+
+    __slots__ = ("n", "width", "ones", "offset")
+
+    def __init__(self, n: int, bound: int):
+        """Lanes for values in [-2^bound, 2^bound)."""
+        self.n = n
+        self.width = width = 8 * (bound // 8 + 1)
+        self.ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+        # Adding the offset biases every lane into [0, 2^width), so no lane borrows.
+        self.offset = self.ones << width - 1
+
+    @classmethod
+    def packing(cls, n: int, vectors: list) -> tuple["_Lanes", int, list[int]]:
+        """Lanes for the vectors, a bound on their entries and the packed
+        vectors, in lanes with a spare byte past the bound.  Entries that
+        fit a signed byte, or else a signed 64-bit word, convert in C
+        through arrays, whose bytes are their two's complement lanes of that
+        size; wider entries are sized and packed in Python."""
+        for code, size in (("b", 1), ("q", 8)):
+            try:
+                arrays = [array(code, vec) for vec in vectors]
+            except OverflowError:
+                continue
+            bound = 8 * size - 1
+            lanes = cls(n, bound + 8)
+            step = lanes.width // 8
+            # Each lane holds c mod 2^(bound+1); flipping bit bound and then
+            # subtracting 2^bound gives back c.
+            flip = lanes.ones << bound
+            packed = []
+            for words in arrays:
+                if _BIG_ENDIAN:
+                    words.byteswap()
+                raw = words.tobytes()
+                cut = bytearray(n * step)
+                for t in range(size):
+                    cut[t::step] = raw[t::size]
+                packed.append((int.from_bytes(cut, "little") ^ flip) - flip)
+            return lanes, bound, packed
+        bound = max((abs(c) for vec in vectors for c in vec), default=0).bit_length()
+        lanes = cls(n, bound + 8)
+        return lanes, bound, [lanes.pack(vec) for vec in vectors]
+
+    def pack(self, vec) -> int:
+        packed = 0
+        for c in reversed(vec):
+            packed = (packed << self.width) + c
+        return packed
+
+    def unpack(self, packed: int) -> list[int]:
+        biased = packed + self.offset
+        mask = (1 << self.width) - 1
+        half = 1 << self.width - 1
+        return [(biased >> self.width * j & mask) - half for j in range(self.n)]
+
+    def relane(self, packed: dict, other: "_Lanes") -> dict:
+        """The same vectors in other's lanes, for entries that fit the
+        narrower of the two: each lane, biased into that width, is copied
+        byte by byte."""
+        size, new = self.width // 8, other.width // 8
+        shared = min(size, new)
+        bias = 1 << 8 * shared - 1
+        old_bias, new_bias = bias * self.ones, bias * other.ones
+        out = {}
+        for key, vec in packed.items():
+            raw = (vec + old_bias).to_bytes(self.n * size, "little")
+            cut = bytearray(self.n * new)
+            for t in range(shared):
+                cut[t::new] = raw[t::size]
+            out[key] = int.from_bytes(cut, "little") - new_bias
+        return out
+
+    def bits(self, vecs) -> int:
+        """The least t with every lane of every packed vector in
+        [-2^t, 2^t).  Biased by the offset and with each lane's top bit
+        flipped back, a vector holds its lanes in two's complement, where
+        bit i of x ^ (x >> 1) is set when bits i and i+1 of x differ: below
+        a lane's top bit (the sign) the highest such bit is bit t-1 of that
+        lane.  OR-ing over the vectors and then over the lanes keeps the
+        largest."""
+        offset = self.offset
+        seen = 0
+        for packed in vecs:
+            raw = (packed + offset) ^ offset
+            seen |= raw ^ raw >> 1
+        n, width = self.n, self.width
+        while n > 1:
+            half = n // 2
+            cut = width * (n - half)
+            seen = (seen & (1 << cut) - 1) | seen >> cut
+            n -= half
+        return (seen & (1 << width - 1) - 1).bit_length()
+
+
+def _eliminate_last(packed: dict, m: int, b: int, column, ones: int, full: int, guards: int) -> dict:
     """One level of the recursion: map a polynomial in x_1..x_{m+1} to one
     in x_1..x_m with the same operator value.
 
@@ -184,44 +360,32 @@ def _eliminate_last(rows, m: int, terms: dict) -> dict:
     whose proper prefix already oversubscribes is dropped as soon as it
     appears, since later factors only raise its exponents; what is left
     after the last step also passes the prefix test.
+
+    Raising x_{i+1} raises every prefix sum from i on, so it is allowed
+    only past the last proper prefix that is already full.  With ones and
+    full from eliminate and the guards of the m-1 proper prefixes, the
+    highest guard bit set, of lane j at b*j + b - 1, gives the first index
+    allowed, j + 1, as bit_length // b.
     """
-    groups: dict[int, dict] = {}
-    for exps, vec in terms.items():
-        groups.setdefault(exps[m], {})[exps[:m]] = vec
-    column = [(i, rows[i][m]) for i in range(m) if rows[i][m]]
-    acc: dict[tuple, list[int]] = {}
+    top = b * m
+    groups: dict[int, list] = {}
+    for key, vec in packed.items():
+        groups.setdefault(key >> top, []).append((key & (1 << top) - 1, vec))
+    tails = [[(inc, a) for inc, a in column if inc >> b * lo] for lo in range(m)]
+    acc: dict[int, int] = {}
     for r in range(max(groups), 0, -1):
         if acc:
-            acc = _times_linear(acc, column, m)
-        for exps, vec in groups.get(r, {}).items():
-            have = acc.get(exps)
-            acc[exps] = vec if have is None else [x + y for x, y in zip(have, vec)]
-    return {e: vec for e, vec in acc.items() if (not m or e[-1]) and any(vec)}
-
-
-def _times_linear(terms: dict, column, m: int) -> dict:
-    """Multiply by the linear form sum of a * x_{i+1} over (i, a) in
-    column, keeping only monomials whose proper prefixes do not
-    oversubscribe.  Raising x_{i+1} raises every prefix sum from i on, so
-    it is allowed only past the last prefix that is already full."""
-    out: dict[tuple, list[int]] = {}
-    for exps, vec in terms.items():
-        full = -1
-        total = 0
-        for j in range(m - 1):
-            total += exps[j]
-            if total > j:
-                full = j
-        for i, a in column:
-            if i <= full:
-                continue
-            key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-            have = out.get(key)
-            if have is None:
-                out[key] = [a * y for y in vec]
-            else:
-                out[key] = [x + a * y for x, y in zip(have, vec)]
-    return out
+            product: dict[int, int] = {}
+            get = product.get
+            for key, vec in acc.items():
+                for inc, a in tails[((key * ones + full) & guards).bit_length() // b]:
+                    raised = key + inc
+                    product[raised] = get(raised, 0) + a * vec
+            acc = product
+        for key, vec in groups.get(r, ()):
+            acc[key] = acc.get(key, 0) + vec
+    last = b * (m - 1)
+    return {key: vec for key, vec in acc.items() if vec and key >> last}
 
 
 def vanishing_filter(r) -> bool:

@@ -192,20 +192,28 @@ def longest_element(c: CartanMatrix, indices=None) -> WeylElement:
     return WeylElement(*climb(c, identity(c).rho_image, indices))
 
 
-def poincare_dual(x: WeylElement, w0: WeylElement, w0_p: WeylElement, c: CartanMatrix) -> WeylElement:
-    """x∨ = w0·x·w0_P, given w0 and the longest element w0_P of W'.
+def opposition(c: CartanMatrix) -> tuple[tuple[int, ...], int]:
+    """The opposition involution theta and l(w0): w0 sends a weight v to
+    -theta(v), coordinate i of w0(v) being -v[theta[i]] (0-based).  The
+    climb from the regular dominant weight (1, 2, ..., n) ends at its image
+    under w0, which spells theta out, in l(w0) steps."""
+    end, length = climb(c, range(1, c.n + 1))
+    return tuple(-a - 1 for a in end), length
+
+
+def poincare_dual(x: WeylElement, w0_p: WeylElement, opposite, c: CartanMatrix) -> WeylElement:
+    """x∨ = w0·x·w0_P, given the longest element w0_P of W' and
+    opposite = opposition(c).
 
     For x minimal in its coset xW', x·w0_P is the longest element of that
     coset, so x∨ is minimal in its coset and has length
     l(w0) - l(w0_P) - l(x).  The Schubert class of x∨ is the Poincaré
-    dual of the class of x in G/P.  w0 is applied without its word: for
-    y = x·w0_P and k past every |coordinate| of y(rho), k·rho + y(rho) is
-    dominant and regular, so its climb ends at -k·rho + w0(y(rho)).
+    dual of the class of x in G/P.  w0 is applied to y = x·w0_P as the
+    linear map -theta on y(rho), so each dual costs O(rank) past y.
     """
+    theta, top = opposite
     y = multiply(x, w0_p, c)
-    k = 1 + max(map(abs, y.rho_image))
-    end = climb(c, [k + a for a in y.rho_image])[0]
-    return WeylElement(tuple(a + k for a in end), w0.length - y.length)
+    return WeylElement(tuple(-y.rho_image[t] for t in theta), top - y.length)
 
 
 def enumerate_group(

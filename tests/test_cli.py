@@ -707,18 +707,24 @@ def test_tables_need_no_longest_element_without_a_dual(capsys, monkeypatch):
 
 
 def test_dual_orientation_computes_w0_and_w0_p_once(capsys, monkeypatch):
+    # w0 enters as the opposition involution, from one climb per run.
     calls = []
-    original = schubert.longest_element
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(schubert, name)
 
-    monkeypatch.setattr(schubert, "longest_element", counting)
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return count
+
+    for name in ("longest_element", "opposition"):
+        monkeypatch.setattr(schubert, name, counting(name))
     code, out, _ = run_cli(capsys, "--type", "F4", "--parabolic", "1,2,3", "--table", "7", "7", "--json")
     assert code == 0
     assert json.loads(out)["evaluation"] == {"orientation": "dual_u", "word_length": 8}
-    assert len(calls) == 2
+    assert sorted(calls) == ["longest_element", "opposition"]
 
 
 @pytest.mark.parametrize(

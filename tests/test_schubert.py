@@ -26,7 +26,7 @@ from schuprod import (
 )
 from schuprod import relmat, schubert, weyl
 from schuprod.schubert import ORIENTATIONS, FlagManifold, choose_orientation, subword_sum
-from schuprod.weyl import identity, longest_element, poincare_dual
+from schuprod.weyl import identity, longest_element, opposition, poincare_dual
 
 
 W_WORD = (2, 1, 2, 1, 2)
@@ -438,8 +438,8 @@ def test_poincare_duality_orientations_agree(name, parabolic, top):
     reps = minimal_coset_reps(c, parabolic)
     dim = reps[-1].length
     top = dim if top is None else top
-    w0, w0_p = longest_element(c), longest_element(c, parabolic)
-    dual = {x: poincare_dual(x, w0, w0_p, c) for x in reps}
+    w0_p, opposite = longest_element(c, parabolic), opposition(c)
+    dual = {x: poincare_dual(x, w0_p, opposite, c) for x in reps}
     by_length = {}
     for x in reps:
         by_length.setdefault(x.length, []).append(x)

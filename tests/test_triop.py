@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schuprod import (
@@ -14,7 +14,7 @@ from schuprod import (
     vanishing_filter,
 )
 from schuprod.oracles import flow_matrices
-from schuprod.triop import poly_mul
+from schuprod.triop import _Lanes, eliminate, poly_mul
 
 G2_MATRIX_W = [
     [0, 3, -2, 3, -2],
@@ -349,3 +349,102 @@ def test_eval_many_edge_cases():
     assert triangular_eval_many([], [HomogPoly.one(0), HomogPoly(0, 0, {(): 7})]) == [1, 7]
     with pytest.raises(DegreeMismatch):
         triangular_eval_many(two_var(1), [mono(2, (1, 1)), mono(2, (1, 0))])
+
+
+# -- the packed kernel under lane pressure -------------------------------------
+
+
+def recursive_reference(rows, polys):
+    """The operator by its three laws, one polynomial at a time, on dicts
+    from exponent tuples to ints: law 3 expands h * L^(r-1) in full, with
+    no pruning and no packing."""
+    values = []
+    for p in polys:
+        terms = dict(p.terms)
+        for m in range(len(rows) - 1, -1, -1):
+            column = [(i, rows[i][m]) for i in range(m) if rows[i][m]]
+            lower = {}
+            for exps, coeff in terms.items():
+                if exps[m] == 0:  # law 1
+                    continue
+                layer = {exps[:m]: coeff}
+                for _ in range(exps[m] - 1):
+                    product = {}
+                    for e, c in layer.items():
+                        for i, a in column:
+                            raised = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                            product[raised] = product.get(raised, 0) + a * c
+                    layer = product
+                for e, c in layer.items():
+                    lower[e] = lower.get(e, 0) + c
+            terms = lower
+        values.append(terms.get((), 0))
+    return values
+
+
+# Entries past 2^64 take the packing route for entries wider than a word;
+# those near 2^63 pack as words and then outgrow 64-bit lanes.
+WIDE_COEFFS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=2**61, max_value=2**63 - 1),
+    st.integers(min_value=-(2**63), max_value=-(2**61)),
+    st.integers(min_value=2**64, max_value=2**90),
+    st.integers(min_value=-(2**90), max_value=-(2**64)),
+)
+
+
+@st.composite
+def wide_batches(draw):
+    k = draw(st.integers(min_value=0, max_value=5))
+    rows = [
+        [draw(st.integers(min_value=-3, max_value=3)) if i < j else 0 for j in range(k)]
+        for i in range(k)
+    ]
+    monomials = exponent_vectors(k) if k else st.just(())
+    polys = draw(
+        st.lists(
+            st.dictionaries(monomials, WIDE_COEFFS, max_size=3).map(lambda t: HomogPoly(k, k, t)),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    return rows, polys
+
+
+@given(wide_batches())
+@example(([], [HomogPoly(0, 0, {(): c}) for c in (2**64 + 1, -(2**70), 0, -1)]))
+@example(([[0, 3, 3], [0, 0, 3], [0, 0, 0]], [mono(3, (0, 0, 3), 2**63 - 1), mono(3, (0, 0, 3), -(2**63))]))
+@example(([[0, 1], [0, 0]], [mono(2, (1, 1), 1)]))
+@settings(max_examples=120, deadline=None)
+def test_eval_many_is_exact_under_lane_pressure(data):
+    rows, polys = data
+    closed = {}
+    expected = [
+        sum(c * closed.setdefault(e, triangular_eval_closed(rows, e)) for e, c in p.terms.items())
+        for p in polys
+    ]
+    assert triangular_eval_many(rows, polys) == expected
+    assert recursive_reference(rows, polys) == expected
+
+
+def test_empty_word_passes_each_coefficient_through():
+    values = [0, -1, 7, 2**63 - 1, -(2**63), 2**64, -(2**90)]
+    assert eliminate((), {(): list(values)}, len(values)) == values
+    assert eliminate((), {}, 3) == [0, 0, 0]
+    assert eliminate(((0, 1), (0, 0)), {}, 0) == []
+
+
+@pytest.mark.parametrize("bound", [0, 1, 6, 7, 8, 15, 62, 63, 64, 90])
+def test_lanes_hold_and_measure_entries_at_their_bound(bound):
+    # The extremes of [-2^bound, 2^bound) round-trip, measure as exactly
+    # bound, and survive a refit to lanes one byte wider and back.
+    lanes = _Lanes(3, bound)
+    values = [-(2**bound), 2**bound - 1, 0] if bound else [-1, 0, 0]
+    packed = lanes.pack(values)
+    assert lanes.unpack(packed) == values
+    assert lanes.bits([packed]) == bound
+    assert lanes.bits([lanes.pack([0, 0, 0])]) == 0
+    wider = _Lanes(3, bound + 8)
+    assert wider.width == lanes.width + 8
+    back = wider.relane(lanes.relane({0: packed}, wider), lanes)
+    assert lanes.unpack(back[0]) == values

@@ -23,6 +23,7 @@ from schuprod.weyl import (
     identity,
     longest_element,
     multiply,
+    opposition,
     parse_word,
     poincare_dual,
 )
@@ -348,12 +349,25 @@ def test_poincare_dual_is_a_length_reversing_involution_of_reps(name, parabolic)
     dim = reps[-1].length
     w0, w0_p = longest_element(c), longest_element(c, parabolic)
     assert dim == w0.length - w0_p.length
-    duals = {x: poincare_dual(x, w0, w0_p, c) for x in reps}
+    duals = {x: poincare_dual(x, w0_p, opposition(c), c) for x in reps}
+    # w0 applied as -theta on weights is the product with w0 by its word.
+    assert all(y == multiply(w0, multiply(x, w0_p, c), c) for x, y in duals.items())
     assert set(duals.values()) == set(reps)
     for x, y in duals.items():
         assert y.length == dim - x.length
         assert duals[y] == x
     assert duals[reps[0]] == reps[-1]
+
+
+@pytest.mark.parametrize(
+    "name,theta",
+    [("A4", (3, 2, 1, 0)), ("B3", (0, 1, 2)), ("D4", (0, 1, 2, 3)), ("D5", (0, 1, 2, 4, 3)),
+     ("E6", (5, 1, 4, 3, 2, 0)), ("E7", tuple(range(7))), ("G2", (0, 1))],
+)
+def test_opposition_involution_and_the_length_of_w0(name, theta):
+    # w0 = -1 on weights exactly outside A_n, D_odd and E6.
+    c = cartan_matrix_by_name(name)
+    assert opposition(c) == (theta, longest_element(c).length)
 
 
 @pytest.mark.parametrize(
