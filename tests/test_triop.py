@@ -414,7 +414,7 @@ def wide_batches(draw):
 @given(wide_batches())
 @example(([], [HomogPoly(0, 0, {(): c}) for c in (2**64 + 1, -(2**70), 0, -1)]))
 @example(([[0, 3, 3], [0, 0, 3], [0, 0, 0]], [mono(3, (0, 0, 3), 2**63 - 1), mono(3, (0, 0, 3), -(2**63))]))
-@example(([[0, 1], [0, 0]], [mono(2, (1, 1), 1)]))
+@example(([[0]], [mono(1, (1,), 2**64 + 3), mono(1, (1,), -5)]))
 @settings(max_examples=120, deadline=None)
 def test_eval_many_is_exact_under_lane_pressure(data):
     rows, polys = data
