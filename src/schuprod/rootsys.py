@@ -19,8 +19,9 @@ from .errors import NotCartan, NotFiniteType
 # Off-diagonal Cartan numbers of finite type.
 _ALLOWED_OFF_DIAGONAL = (0, -1, -2, -3)
 
-# The largest rank accepted.  Validation is O(rank^2) and a named type
-# builds rank^2 cells, so larger inputs are refused before either.
+# The largest rank accepted.  Validation is O(rank^2) on Dynkin diagrams
+# and O(rank^3) on dense inputs, and a named type builds rank^2 cells, so
+# larger inputs are refused before either.
 MAX_RANK = 500
 
 
@@ -160,32 +161,50 @@ def symmetrizer(rows) -> list[Fraction]:
 
 
 def _leading_minors(rows):
-    """The leading k x k minors of an integer matrix, k = 1..n: minor k is
-    the product of the first k pivots of one Gaussian elimination without
-    pivoting, in Fractions.
+    """The leading k x k minors of an integer matrix, k = 1..n, from one
+    fraction-free (Bareiss) elimination without pivoting, done row by
+    row and only on nonzero entries.
 
-    Only nonzero entries are kept and touched: a row with a zero under the
-    pivot is skipped, and the pivot row subtracts only its nonzero
-    columns.  A Dynkin diagram is a forest of nodes of degree at most
-    three, so beyond the O(n^2) scan of the columns the work stays small,
-    where a dense elimination would cost O(n^3).  A zero pivot leaves the next step without a divisor, so the
+    Minor k depends only on the first k rows, so row k is reduced when it
+    is reached, by the earlier pivot rows that meet its nonzero columns,
+    in order; rows past the first failing minor are never reduced.  Each
+    step is exact: the pivot of row k is the leading (k+1) x (k+1) minor.
+    A row that a pivot row does not meet would only be scaled, by the
+    ratio of that pivot to the one before; the ratios telescope, so the
+    row keeps the minor of its last reduction and divides by it at the
+    next one instead.  A Dynkin diagram is a forest of nodes of degree at
+    most three, so each row meets a few pivot rows of a few entries, and
+    the work is the O(n^2) scan of the rows; other inputs pass as
+    finite type only up to their first failing minor, and cost at most
+    O(n^3).  A zero minor leaves the next step without a divisor, so the
     minors stop after the first zero one.
     """
-    a = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
-    minor = Fraction(1)
-    for k, row in enumerate(a):
-        pivot = row.get(k, 0)
-        minor *= pivot
-        yield minor
+    # pivots[p]: the pivot of row p, its entries right of p when it was
+    # reduced, and those columns with 0 in each, to fill in rows it meets.
+    pivots = []
+    prev = 1
+    for k, row in enumerate(rows):
+        row = {j: x for j, x in enumerate(row) if x}
+        since = 1
+        for p in range(k):
+            head = row.pop(p, 0)
+            if head:
+                pivot, right, fill = pivots[p]
+                at = right.get
+                row = {
+                    j: y
+                    for j, x in (fill | row).items()
+                    if (y := (pivot * x - head * at(j, 0)) // since)
+                }
+                since = pivot
+        # Row k is now the reduced row times since / prev.
+        pivot = row.get(k, 0) * prev // since
+        yield pivot
         if not pivot:
             return
-        right = [(j, x) for j, x in row.items() if j > k]
-        for lower in a[k + 1 :]:
-            factor = lower.get(k)
-            if factor:
-                factor /= pivot
-                for j, x in right:
-                    lower[j] = lower.get(j, 0) - factor * x
+        right = {j: x * prev // since for j, x in row.items() if j > k}
+        pivots.append((pivot, right, dict.fromkeys(right, 0)))
+        prev = pivot
 
 
 def cartan_pair(b, i: int, c: CartanMatrix) -> int:

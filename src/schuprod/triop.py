@@ -64,7 +64,6 @@ exactness contract holds with no overflow concerns.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from operator import lshift
 
@@ -247,9 +246,6 @@ def eliminate(rows, terms: dict, n: int) -> list[int]:
     return lanes.unpack(packed.get(1 if k else 0, 0))
 
 
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
 class _Lanes:
     """n signed lanes packed into one int, each a whole number of bytes
     wide: the vector (c_0, ..., c_{n-1}) is the integer sum of
@@ -270,33 +266,26 @@ class _Lanes:
     def packing(cls, n: int, vectors: list) -> tuple["_Lanes", int, list[int]]:
         """Lanes for the vectors, a bound on their entries and the packed
         vectors, in lanes with a spare byte past the bound.  Entries that
-        fit a signed byte, or else a signed 64-bit word, convert in C
-        through arrays, whose bytes are their two's complement lanes of that
-        size; wider entries are sized and packed in Python."""
-        for code, size in (("b", 1), ("q", 8)):
-            try:
-                arrays = [array(code, vec) for vec in vectors]
-            except OverflowError:
-                continue
-            bound = 8 * size - 1
+        all fit a signed byte, as every batch of the pipeline's does,
+        convert in C through byte arrays, whose bytes are their two's
+        complement; wider entries are sized and packed in Python."""
+        try:
+            arrays = [array("b", vec) for vec in vectors]
+        except OverflowError:
+            bound = max((abs(c) for vec in vectors for c in vec), default=0).bit_length()
             lanes = cls(n, bound + 8)
-            step = lanes.width // 8
-            # Each lane holds c mod 2^(bound+1); flipping bit bound and then
-            # subtracting 2^bound gives back c.
-            flip = lanes.ones << bound
-            packed = []
-            for words in arrays:
-                if _BIG_ENDIAN:
-                    words.byteswap()
-                raw = words.tobytes()
-                cut = bytearray(n * step)
-                for t in range(size):
-                    cut[t::step] = raw[t::size]
-                packed.append((int.from_bytes(cut, "little") ^ flip) - flip)
-            return lanes, bound, packed
-        bound = max((abs(c) for vec in vectors for c in vec), default=0).bit_length()
-        lanes = cls(n, bound + 8)
-        return lanes, bound, [lanes.pack(vec) for vec in vectors]
+            return lanes, bound, [lanes.pack(vec) for vec in vectors]
+        lanes = cls(n, 15)
+        step = lanes.width // 8
+        # Each lane's low byte holds c mod 2^8; flipping bit 7 and then
+        # subtracting 2^7 gives back c.
+        flip = lanes.ones << 7
+        packed = []
+        for words in arrays:
+            cut = bytearray(n * step)
+            cut[::step] = words.tobytes()
+            packed.append((int.from_bytes(cut, "little") ^ flip) - flip)
+        return lanes, 7, packed
 
     def pack(self, vec) -> int:
         packed = 0

@@ -258,6 +258,25 @@ def test_sparse_finite_type_check_at_large_rank():
         validate_cartan(rows)
 
 
+def test_dense_non_finite_input_stops_at_its_first_failing_minor():
+    # A path of 250 nodes, each joined to all of 250 more: the first 250
+    # minors are those of A250, and minor 251 is negative.  The rows past
+    # it are never reduced, so the check takes well under a second, where
+    # a dense elimination of all rows took about 7 s and one in Fractions
+    # about 70 s.
+    n, h = 500, 250
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(h - 1):
+        rows[i][i + 1] = rows[i + 1][i] = -1
+    for i in range(h):
+        for j in range(h, n):
+            rows[i][j] = rows[j][i] = -1
+    start = time.perf_counter()
+    with pytest.raises(NotFiniteType, match="non-positive leading 251x251 minor"):
+        validate_cartan(rows)
+    assert time.perf_counter() - start < 3.5
+
+
 def test_positive_roots_of_a_large_rank_finish():
     # Up-steps only, each pairing from a column's nonzero entries: A120's
     # 7,260 roots take well under a second, where a dense pairing on every

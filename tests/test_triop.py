@@ -382,10 +382,13 @@ def recursive_reference(rows, polys):
     return values
 
 
-# Entries past 2^64 take the packing route for entries wider than a word;
-# those near 2^63 pack as words and then outgrow 64-bit lanes.
+# Entries in -128..127 pack through byte arrays, those at its edges then
+# outgrow 16-bit lanes; wider ones, near 2^63 and past 2^64, are sized and
+# packed in Python.
 WIDE_COEFFS = st.one_of(
     st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-130, max_value=-126),
+    st.integers(min_value=126, max_value=130),
     st.integers(min_value=2**61, max_value=2**63 - 1),
     st.integers(min_value=-(2**63), max_value=-(2**61)),
     st.integers(min_value=2**64, max_value=2**90),
@@ -415,6 +418,7 @@ def wide_batches(draw):
 @example(([], [HomogPoly(0, 0, {(): c}) for c in (2**64 + 1, -(2**70), 0, -1)]))
 @example(([[0, 3, 3], [0, 0, 3], [0, 0, 0]], [mono(3, (0, 0, 3), 2**63 - 1), mono(3, (0, 0, 3), -(2**63))]))
 @example(([[0]], [mono(1, (1,), 2**64 + 3), mono(1, (1,), -5)]))
+@example(([[0, -3, 3], [0, 0, 3], [0, 0, 0]], [mono(3, (0, 0, 3), 127), mono(3, (0, 0, 3), -128)]))
 @settings(max_examples=120, deadline=None)
 def test_eval_many_is_exact_under_lane_pressure(data):
     rows, polys = data
@@ -432,6 +436,21 @@ def test_empty_word_passes_each_coefficient_through():
     assert eliminate((), {(): list(values)}, len(values)) == values
     assert eliminate((), {}, 3) == [0, 0, 0]
     assert eliminate(((0, 1), (0, 0)), {}, 0) == []
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [[[127, -128, 0]], [[0, 0, 0], [-1, 1, 5]], [[128, -3, 0]], [[0, -129, 2]], [[2**64, 0, -(2**90)]]],
+)
+def test_packing_bounds_the_entries_it_packs(vectors):
+    # Byte entries take the array route, wider ones the Python loop; either
+    # way the returned bound holds for every entry, and at the edges of a
+    # byte it is exact.
+    lanes, bound, packed = _Lanes.packing(3, vectors)
+    assert [lanes.unpack(v) for v in packed] == vectors
+    assert lanes.bits(packed) <= bound < lanes.width - 1
+    if any(-128 in v or 127 in v for v in vectors):
+        assert bound == 7
 
 
 @pytest.mark.parametrize("bound", [0, 1, 6, 7, 8, 15, 62, 63, 64, 90])
