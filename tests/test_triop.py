@@ -440,7 +440,13 @@ def test_empty_word_passes_each_coefficient_through():
 
 @pytest.mark.parametrize(
     "vectors",
-    [[[127, -128, 0]], [[0, 0, 0], [-1, 1, 5]], [[128, -3, 0]], [[0, -129, 2]], [[2**64, 0, -(2**90)]]],
+    [
+        [[127, -128, 0]],
+        [[0, 0, 0], [-1, 1, 5]],
+        [[128, -3, 0]],
+        [[0, -129, 2]],
+        [[2**64, 0, -(2**90)]],
+    ],
 )
 def test_packing_bounds_the_entries_it_packs(vectors):
     # Byte entries take the array route, wider ones the Python loop; either
