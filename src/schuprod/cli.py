@@ -101,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The keys of a job file, and the keys each mode needs with the refusal
-# when one is missing.
+# The keys of a job file, the keys each mode needs with the refusal when
+# one is missing, and the input keys each mode reads (w also under
+# --show-matrix); selftest reads none.
 _KEYS = ("group", "parabolic", "mode", "u", "v", "w", "table", "include_zeros")
 _NEEDS = {
     "constant": (("u", "v", "w"), "constant mode needs --u, --v and --w"),
@@ -111,6 +112,7 @@ _NEEDS = {
     "inspect": ((), ""),
     "selftest": ((), ""),
 }
+_READS = {"constant": ("u", "v", "w"), "expand": ("u", "v"), "table": ("table",), "inspect": ("w",), "selftest": ()}
 
 
 def _load_json(text: str, what: str):
@@ -201,6 +203,10 @@ def _read_request(raw: dict, args) -> JobSpec:
         raise ValueError(refusal)
     if mode == "inspect" and not (args.echo_matrix or args.show_matrix):
         raise ValueError("no action requested (use --w, --expand, --table or --selftest)")
+    reads = _READS[mode] + (("w",) if args.show_matrix else ())
+    unread = [key for key in ("u", "v", "w", "table") if key in raw and key not in reads]
+    if unread:
+        raise ValueError(f"{mode} mode takes no {', '.join(unread)}")
     if args.verbose and mode != "constant":
         raise ValueError(f"--verbose applies to constant mode only, not {mode} mode")
     return JobSpec(

@@ -19,6 +19,7 @@ lands on the identity by construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import add
@@ -138,15 +139,13 @@ def _constants_of_letters(letters: tuple[int, ...], pairs, c: CartanMatrix) -> l
         if factor not in exponents:
             exponents[factor] = [_exponents(L, k) for L in _solutions(letters, factor, c)]
     batch = [j for j, (u, v) in enumerate(pairs) if exponents[u] and exponents[v]]
-    terms: dict[tuple, list[int]] = {}
-    for slot, j in enumerate(batch):
-        u, v = pairs[j]
-        for e1 in exponents[u]:
-            for e2 in exponents[v]:
-                terms.setdefault(tuple(map(add, e1, e2)), [0] * len(batch))[slot] += 1
+    products = [
+        Counter(tuple(map(add, e1, e2)) for e1 in exponents[u] for e2 in exponents[v])
+        for u, v in (pairs[j] for j in batch)
+    ]
     a = relative_matrix_of_letters(letters, c)
     values = [0] * len(pairs)
-    for j, value in zip(batch, eliminate(a.entries, terms, len(batch))):
+    for j, value in zip(batch, eliminate(a.entries, products)):
         # Intersection theory makes valid constants non-negative; a
         # negative value can only mean a bug upstream.
         if value < 0:

@@ -15,9 +15,10 @@ triangular_eval_many); the independent closed-form route over balanced
 flow matrices lives with the other oracles (oracles.triangular_eval_closed),
 and tests fuzz that the two agree exactly.
 
-The recursion merges several polynomials on the same matrix into one
-elimination (the operator is linear; eliminate takes the merged dict
-directly).  Each level applies law 3 by Horner's rule, one
+The recursion evaluates several polynomials on the same matrix in one
+elimination: the operator is linear, so eliminate takes one sparse
+polynomial per input and carries, per monomial, the vector of their
+coefficients.  Each level applies law 3 by Horner's rule, one
 multiplication by the elimination form per step.  It also prunes: once a
 proper prefix x_1..x_i of a monomial carries degree above i, later steps
 can only raise it, so the monomial cannot reach law 2 and is dropped as
@@ -55,8 +56,10 @@ with every lane in [-2^t, 2^t) at each level boundary:
   * before a level with t + g >= W, the lanes are measured, which gives
     the exact t, and refitted, wider or narrower, to the whole bytes that
     hold t + g + 9 bits: a spare byte past the level's need, so that the
-    levels after it seldom measure again.  The input is packed with a
-    spare byte past the bound its entries are known to keep.
+    levels after it seldom measure again.  The input vector of a monomial
+    is the sum of c * 2^(W*j) over the inputs j that carry it with
+    coefficient c, in lanes with a spare byte past t = the bit length of
+    the largest absolute coefficient, found in one pass.
 
 All coefficients are native ints, which are arbitrary precision, so the
 exactness contract holds with no overflow concerns.
@@ -64,7 +67,6 @@ exactness contract holds with no overflow concerns.
 
 from __future__ import annotations
 
-from array import array
 from operator import lshift
 
 from .errors import DegreeMismatch, VariableCountMismatch
@@ -179,33 +181,28 @@ def triangular_eval_many(a, polys) -> list[int]:
     """Evaluate the triangular operator of matrix a on each polynomial
     (all of degree k = size of a) in a single elimination.
 
-    The inputs are merged into one polynomial whose coefficients are
-    vectors with one entry per input; the operator is linear, so entry j
-    of the result is the value on polys[j].
+    The operator is linear, so eliminate carries one coefficient per input
+    through one elimination; entry j of the result is the value on polys[j].
     """
     rows = _matrix_rows(a)
     k = len(rows)
-    n = len(polys)
-    terms: dict[tuple, list[int]] = {}
-    for j, p in enumerate(polys):
+    for p in polys:
         if p.k != k:
             raise DegreeMismatch(f"polynomial in {p.k} variables, matrix of size {k}")
         if p.degree != k:
             raise DegreeMismatch(f"degree {p.degree} polynomial, expected degree {k}")
-        for exps, coeff in p.terms.items():
-            terms.setdefault(exps, [0] * n)[j] += coeff
-    return eliminate(rows, terms, n)
+    return eliminate(rows, [p.terms for p in polys])
 
 
-def eliminate(rows, terms: dict, n: int) -> list[int]:
-    """The operator of the strictly upper-triangular rows on each of n
-    degree-k polynomials merged into terms: exponent tuple -> list of n
-    coefficients, k = len(rows).
+def eliminate(rows, polys) -> list[int]:
+    """The operator of the strictly upper-triangular rows on each of the
+    degree-k polynomials polys, each a dict from exponent tuple to int,
+    k = len(rows).
 
-    Packs each monomial and each coefficient vector into one int (see the
-    module docstring), eliminates x_k, ..., x_2 one level at a time, and
-    unpacks the coefficient of x_1, which law 2 makes the value (for k = 0,
-    that of the empty monomial).
+    Packs each monomial into one int and the coefficients of the inputs on
+    it into one vector int (see the module docstring), eliminates x_k, ...,
+    x_2 one level at a time, and unpacks the coefficient of x_1, which law 2
+    makes the value (for k = 0, that of the empty monomial).
     """
     k = len(rows)
     b = (k + 1).bit_length() + 1
@@ -220,14 +217,21 @@ def eliminate(rows, terms: dict, n: int) -> list[int]:
     # A proper prefix past full (S_j >= j+2) is vanishing_filter's test.
     over, proper = full - ones, guards >> b
     shifts = range(0, b * k, b)
-    keys, vectors = [], []
-    for exps, vec in terms.items():
-        key = sum(map(lshift, exps, shifts))
-        if not (key * ones + over) & proper:
-            keys.append(key)
-            vectors.append(vec)
-    lanes, bound, vectors = _Lanes.packing(n, vectors)
-    packed = dict(zip(keys, vectors))
+    n = len(polys)
+    bound = max((abs(c) for p in polys for c in p.values()), default=0).bit_length()
+    lanes = _Lanes(n, bound + 8)
+    # Each distinct monomial's key, or -1 once the prefix test prunes it.
+    keys: dict[tuple, int] = {}
+    packed: dict[int, int] = {}
+    for j, poly in enumerate(polys):
+        shift = lanes.width * j
+        for exps, coeff in poly.items():
+            key = keys.get(exps)
+            if key is None:
+                key = sum(map(lshift, exps, shifts))
+                key = keys[exps] = -1 if (key * ones + over) & proper else key
+            if key >= 0:
+                packed[key] = packed.get(key, 0) + (coeff << shift)
     # Level m = 0 would be law 2 alone: the value is the coefficient of x_1.
     for m in range(k - 1, 0, -1):
         if not packed:
@@ -261,37 +265,6 @@ class _Lanes:
         self.ones = ((1 << width * n) - 1) // ((1 << width) - 1)
         # Adding the offset biases every lane into [0, 2^width), so no lane borrows.
         self.offset = self.ones << width - 1
-
-    @classmethod
-    def packing(cls, n: int, vectors: list) -> tuple["_Lanes", int, list[int]]:
-        """Lanes for the vectors, a bound on their entries and the packed
-        vectors, in lanes with a spare byte past the bound.  Entries that
-        all fit a signed byte, as every batch of the pipeline's does,
-        convert in C through byte arrays, whose bytes are their two's
-        complement; wider entries are sized and packed in Python."""
-        try:
-            arrays = [array("b", vec) for vec in vectors]
-        except OverflowError:
-            bound = max((abs(c) for vec in vectors for c in vec), default=0).bit_length()
-            lanes = cls(n, bound + 8)
-            return lanes, bound, [lanes.pack(vec) for vec in vectors]
-        lanes = cls(n, 15)
-        step = lanes.width // 8
-        # Each lane's low byte holds c mod 2^8; flipping bit 7 and then
-        # subtracting 2^7 gives back c.
-        flip = lanes.ones << 7
-        packed = []
-        for words in arrays:
-            cut = bytearray(n * step)
-            cut[::step] = words.tobytes()
-            packed.append((int.from_bytes(cut, "little") ^ flip) - flip)
-        return lanes, 7, packed
-
-    def pack(self, vec) -> int:
-        packed = 0
-        for c in reversed(vec):
-            packed = (packed << self.width) + c
-        return packed
 
     def unpack(self, packed: int) -> list[int]:
         biased = packed + self.offset

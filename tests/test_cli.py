@@ -96,6 +96,32 @@ def test_verbose_outside_constant_mode_is_refused(tmp_path, capsys, argv, job):
     assert run_cli(capsys, *_job_argv(tmp_path, job), *output, "--verbose") == expected
 
 
+@pytest.mark.parametrize(
+    "argv, job, output, refusal",
+    [
+        (["--type", "A2", "--table", "1", "1", "--u", "1"],
+         {"group": "A2", "mode": "table", "table": [1, 1], "u": "1"}, [], "table mode takes no u"),
+        (["--type", "A2", "--u", "1", "--v", "2", "--w", "1,2", "--table", "1", "1"],
+         {"group": "A2", "mode": "table", "table": [1, 1], "u": "1", "v": "2", "w": "1,2"}, [],
+         "table mode takes no u, v, w"),
+        (["--type", "A2", "--u", "1", "--v", "2", "--expand", "--w", "1,2"],
+         {"group": "A2", "mode": "expand", "u": "1", "v": "2", "w": "1,2"}, [], "expand mode takes no w"),
+        (None, {"group": "A2", "mode": "expand", "u": "1", "v": "2", "table": [1, 1]}, [],
+         "expand mode takes no table"),
+        (None, {"group": "A2", "mode": "constant", "u": "1", "v": "2", "w": "1,2", "table": [1, 1]}, [],
+         "constant mode takes no table"),
+        (["--type", "A2", "--u", "1"], {"group": "A2", "mode": "inspect", "u": "1"}, ["--echo-matrix"],
+         "inspect mode takes no u"),
+    ],
+    ids=["table-u", "table-words", "expand-w", "expand-table", "constant-table", "inspect-u"],
+)
+def test_a_mode_refuses_inputs_it_does_not_read(tmp_path, capsys, argv, job, output, refusal):
+    expected = (1, "", f"error: {refusal}\n")
+    if argv is not None:
+        assert run_cli(capsys, *argv, *output) == expected
+    assert run_cli(capsys, *_job_argv(tmp_path, job), *output) == expected
+
+
 def test_json_report_matches_text(capsys):
     code, out_json, _ = run_cli(
         capsys, "--type", "G2", "--u", "2,1,2", "--v", "1,2", "--expand", "--json",
@@ -396,7 +422,7 @@ def test_table_matches_per_triple_constants(capsys, name, parabolic, degrees):
 
 
 def test_negative_constant_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(schubert, "eliminate", lambda rows, terms, n: [-1] * n)
+    monkeypatch.setattr(schubert, "eliminate", lambda rows, polys: [-1] * len(polys))
     code, out, err = run_cli(capsys, "--type", "A2", "--u", "1", "--v", "2", "--expand")
     assert code == 2 and out == ""
     assert err.startswith("error: negative structure constant -1")
@@ -595,10 +621,10 @@ def test_e7_p7_degree_13_squared_constant_runs_on_the_dual_word(capsys, monkeypa
     # 14 rows is refused here rather than left to run.
     original = schubert.eliminate
 
-    def bounded(rows, terms, n):
+    def bounded(rows, polys):
         if len(rows) > 14:
             raise AssertionError(f"eliminating {len(rows)} rows")
-        return original(rows, terms, n)
+        return original(rows, polys)
 
     monkeypatch.setattr(schubert, "eliminate", bounded)
     u, v = E7_P7_DEGREE_13

@@ -379,7 +379,7 @@ def test_constants_for_word_checks_reducedness_once(g2, monkeypatch):
 
 
 def test_negative_value_raises(g2, g2_data, monkeypatch):
-    monkeypatch.setattr(schubert, "eliminate", lambda rows, terms, n: [-1] * n)
+    monkeypatch.setattr(schubert, "eliminate", lambda rows, polys: [-1] * len(polys))
     with pytest.raises(NegativeConstant, match="-1"):
         structure_constant_for_word(W_WORD, g2_data["u"], g2_data["v"], g2)
 
@@ -606,7 +606,7 @@ def test_threads_sharing_a_context_get_the_same_levels(walks):
 def test_negative_value_raises_in_every_orientation(g2, monkeypatch, u_word, v_word, orientation):
     u, v = element_of_word(u_word, g2), element_of_word(v_word, g2)
     assert choose_orientation(u.length, v.length, 6)[0] == orientation
-    monkeypatch.setattr(schubert, "eliminate", lambda rows, terms, n: [-1] * n)
+    monkeypatch.setattr(schubert, "eliminate", lambda rows, polys: [-1] * len(polys))
     with pytest.raises(NegativeConstant, match="-1"):
         product_expansion(u, v, g2)
 

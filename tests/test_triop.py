@@ -347,6 +347,13 @@ def test_eval_many_matches_closed_form_and_linearity(data):
 def test_eval_many_edge_cases():
     assert triangular_eval_many(two_var(2), []) == []
     assert triangular_eval_many([], [HomogPoly.one(0), HomogPoly(0, 0, {(): 7})]) == [1, 7]
+    # An empty polynomial between nonempty ones evaluates to 0.
+    empty = HomogPoly(2, 2, {})
+    assert triangular_eval_many(two_var(2), [mono(2, (1, 1)), empty, mono(2, (0, 2), 3)]) == [1, 0, 6]
+    # One monomial in several lanes, at and past the edges of a signed byte;
+    # x_2^2 evaluates to 2 on this matrix.
+    edges = [mono(2, (0, 2), c) for c in (-128, 127, 128)]
+    assert triangular_eval_many(two_var(2), edges) == [-256, 254, 256]
     with pytest.raises(DegreeMismatch):
         triangular_eval_many(two_var(1), [mono(2, (1, 1)), mono(2, (1, 0))])
 
@@ -382,9 +389,8 @@ def recursive_reference(rows, polys):
     return values
 
 
-# Entries in -128..127 pack through byte arrays, those at its edges then
-# outgrow 16-bit lanes; wider ones, near 2^63 and past 2^64, are sized and
-# packed in Python.
+# Entries at the edges of a signed byte outgrow 16-bit lanes as they grow;
+# those near 2^63 and past 2^64 size lanes of nine bytes and more.
 WIDE_COEFFS = st.one_of(
     st.integers(min_value=-3, max_value=3),
     st.integers(min_value=-130, max_value=-126),
@@ -433,30 +439,21 @@ def test_eval_many_is_exact_under_lane_pressure(data):
 
 def test_empty_word_passes_each_coefficient_through():
     values = [0, -1, 7, 2**63 - 1, -(2**63), 2**64, -(2**90)]
-    assert eliminate((), {(): list(values)}, len(values)) == values
-    assert eliminate((), {}, 3) == [0, 0, 0]
-    assert eliminate(((0, 1), (0, 0)), {}, 0) == []
+    assert eliminate((), [{(): c} for c in values]) == values
+    assert eliminate((), [{}, {}, {}]) == [0, 0, 0]
+    assert eliminate(((0, 1), (0, 0)), []) == []
+    # An empty polynomial between nonempty ones, and one monomial in several
+    # lanes at and past the edges of a signed byte.
+    assert eliminate((), [{(): 5}, {}, {(): -3}]) == [5, 0, -3]
+    assert eliminate((), [{(): -128}, {(): 127}, {(): 128}]) == [-128, 127, 128]
 
 
-@pytest.mark.parametrize(
-    "vectors",
-    [
-        [[127, -128, 0]],
-        [[0, 0, 0], [-1, 1, 5]],
-        [[128, -3, 0]],
-        [[0, -129, 2]],
-        [[2**64, 0, -(2**90)]],
-    ],
-)
-def test_packing_bounds_the_entries_it_packs(vectors):
-    # Byte entries take the array route, wider ones the Python loop; either
-    # way the returned bound holds for every entry, and at the edges of a
-    # byte it is exact.
-    lanes, bound, packed = _Lanes.packing(3, vectors)
-    assert [lanes.unpack(v) for v in packed] == vectors
-    assert lanes.bits(packed) <= bound < lanes.width - 1
-    if any(-128 in v or 127 in v for v in vectors):
-        assert bound == 7
+def pack(lanes, vec) -> int:
+    """vec packed into lanes: the integer sum of vec[j] * 2^(width*j)."""
+    packed = 0
+    for c in reversed(vec):
+        packed = (packed << lanes.width) + c
+    return packed
 
 
 @pytest.mark.parametrize("bound", [0, 1, 6, 7, 8, 15, 62, 63, 64, 90])
@@ -465,10 +462,10 @@ def test_lanes_hold_and_measure_entries_at_their_bound(bound):
     # bound, and survive a refit to lanes one byte wider and back.
     lanes = _Lanes(3, bound)
     values = [-(2**bound), 2**bound - 1, 0] if bound else [-1, 0, 0]
-    packed = lanes.pack(values)
+    packed = pack(lanes, values)
     assert lanes.unpack(packed) == values
     assert lanes.bits([packed]) == bound
-    assert lanes.bits([lanes.pack([0, 0, 0])]) == 0
+    assert lanes.bits([pack(lanes, [0, 0, 0])]) == 0
     wider = _Lanes(3, bound + 8)
     assert wider.width == lanes.width + 8
     back = wider.relane(lanes.relane({0: packed}, wider), lanes)
