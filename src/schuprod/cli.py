@@ -112,7 +112,8 @@ _NEEDS = {
     "inspect": ((), ""),
     "selftest": ((), ""),
 }
-_READS = {"constant": ("u", "v", "w"), "expand": ("u", "v"), "table": ("table",), "inspect": ("w",), "selftest": ()}
+_READS = {"constant": ("u", "v", "w"), "expand": ("u", "v", "include_zeros"),
+          "table": ("table", "include_zeros"), "inspect": ("w",), "selftest": ()}
 
 
 def _load_json(text: str, what: str):
@@ -204,7 +205,7 @@ def _read_request(raw: dict, args) -> JobSpec:
     if mode == "inspect" and not (args.echo_matrix or args.show_matrix):
         raise ValueError("no action requested (use --w, --expand, --table or --selftest)")
     reads = _READS[mode] + (("w",) if args.show_matrix else ())
-    unread = [key for key in ("u", "v", "w", "table") if key in raw and key not in reads]
+    unread = [key for key in ("u", "v", "w", "table", "include_zeros") if key in raw and key not in reads]
     if unread:
         raise ValueError(f"{mode} mode takes no {', '.join(unread)}")
     if args.verbose and mode != "constant":

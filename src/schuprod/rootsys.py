@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotCartan, NotFiniteType
 
@@ -38,6 +39,11 @@ class CartanMatrix:
 
     n: int
     entries: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per row i, its nonzero entries (j, entries[i][j]), 0-based."""
+        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.entries)
 
     def pairing(self, i: int, j: int) -> int:
         """Cartan number of simple roots i and j, 1-based."""

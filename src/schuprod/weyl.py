@@ -5,13 +5,15 @@ rho = (1,...,1) (fundamental-weight coordinates) under w, together with
 its cached length.  The group acts simply transitively on the orbit of a
 regular point, so this image is a complete canonical form.  A simple
 reflection acts by s_i(v)_j = v_j - v_i * C_ij, so left multiplication
-is a single integer row operation and the sign of coordinate i of
-w(rho) tells whether s_i * w is shorter or longer than w.  That one
-fact drives everything below: enumeration, length bookkeeping, descent
-tests and reduced-word extraction, all float-free.  Enumeration of the
-minimal coset representatives of W/W' applies it to the weight lambda_P
-stabilised by W' in place of rho: the representatives are in bijection
-with the orbit of lambda_P, and the whole group is the case W' = 1.
+is a single integer row operation on the nonzero entries of row i (at
+most four in a Dynkin diagram; CartanMatrix.sparse_rows lists them once
+per matrix), and the sign of coordinate i of w(rho) tells whether
+s_i * w is shorter or longer than w.  That one fact drives everything
+below: enumeration, length bookkeeping, descent tests and reduced-word
+extraction, all float-free.  Enumeration of the minimal coset
+representatives of W/W' applies it to the weight lambda_P stabilised by
+W' in place of rho: the representatives are in bijection with the orbit
+of lambda_P, and the whole group is the case W' = 1.
 
 Convention for words: (i_1,...,i_k) spells the composite map
 s_{i_1} . s_{i_2} ... s_{i_k} with the rightmost factor applied first.
@@ -40,7 +42,7 @@ class WeylElement:
     length: int
 
     def __post_init__(self):
-        if any(x == 0 for x in self.rho_image):
+        if 0 in self.rho_image:
             raise ValueError(f"{self.rho_image} is not in the regular orbit")
 
     @property
@@ -79,12 +81,14 @@ def identity(c: CartanMatrix) -> WeylElement:
 
 
 def apply_simple_reflection(i: int, v, c: CartanMatrix) -> tuple[int, ...]:
-    """s_i acting on a weight vector; involutive."""
+    """s_i acting on a weight vector; involutive: row i's nonzero columns change."""
     if not 1 <= i <= c.n:
         raise IndexError(f"simple-root index {i} out of range 1..{c.n}")
     vi = v[i - 1]
-    row = c.entries[i - 1]
-    return tuple(v[j] - vi * row[j] for j in range(c.n))
+    out = list(v)
+    for j, a in c.sparse_rows[i - 1]:
+        out[j] -= vi * a
+    return tuple(out)
 
 
 def left_multiply(i: int, e: WeylElement, c: CartanMatrix) -> WeylElement:
@@ -168,18 +172,18 @@ def climb(c: CartanMatrix, weight, indices=None, limit=None) -> tuple[tuple[int,
     l(w0) - l(w0_P), or limit if that is smaller.  Neither depends on the
     order of the steps, and step i changes only the coordinates that row
     i of the Cartan matrix reaches, so each is O(1) for a sparse matrix."""
-    idx = range(1, c.n + 1) if indices is None else indices
-    rows = {i: [(j, a) for j, a in enumerate(c.entries[i - 1]) if a] for i in idx}
+    allowed = dict.fromkeys(range(1, c.n + 1) if indices is None else indices)
+    rows = c.sparse_rows
     weight = list(weight)
-    ascents = [i for i in rows if weight[i - 1] > 0]
+    ascents = [i for i in allowed if weight[i - 1] > 0]
     steps = 0
     while ascents and steps != limit:
         i = ascents.pop()
         if (vi := weight[i - 1]) > 0:
             steps += 1
-            for j, a in rows[i]:
+            for j, a in rows[i - 1]:
                 weight[j] -= vi * a
-                if weight[j] > 0 and j + 1 in rows:
+                if weight[j] > 0 and j + 1 in allowed:
                     ascents.append(j + 1)
     return tuple(weight), steps
 
@@ -268,10 +272,9 @@ def coset_levels(
         yield tuple(sorted(level.values(), key=attrgetter("rho_image")))
         fresh: dict[tuple[int, ...], WeylElement] = {}
         for image, cur in level.items():
-            for i, row in enumerate(c.entries, 1):
-                if (vi := image[i - 1]) > 0:
-                    # apply_simple_reflection(i, image, c), with i known valid.
-                    nxt = tuple([x - vi * r for x, r in zip(image, row)])
+            for i, vi in enumerate(image, 1):
+                if vi > 0:
+                    nxt = apply_simple_reflection(i, image, c)
                     if nxt not in fresh:
                         # With p empty, lambda_P is rho: nxt is already the
                         # canonical form of s_i * cur, and one tuple serves

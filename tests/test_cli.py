@@ -112,8 +112,17 @@ def test_verbose_outside_constant_mode_is_refused(tmp_path, capsys, argv, job):
          "constant mode takes no table"),
         (["--type", "A2", "--u", "1"], {"group": "A2", "mode": "inspect", "u": "1"}, ["--echo-matrix"],
          "inspect mode takes no u"),
+        (["--type", "A2", "--u", "1", "--v", "2", "--w", "1,2", "--include-zeros"],
+         {"group": "A2", "u": "1", "v": "2", "w": "1,2", "include_zeros": False}, [],
+         "constant mode takes no include_zeros"),
+        (["--type", "A2", "--w", "1,2", "--include-zeros"],
+         {"group": "A2", "mode": "inspect", "w": "1,2", "include_zeros": True}, ["--echo-matrix"],
+         "inspect mode takes no include_zeros"),
     ],
-    ids=["table-u", "table-words", "expand-w", "expand-table", "constant-table", "inspect-u"],
+    ids=[
+        "table-u", "table-words", "expand-w", "expand-table", "constant-table", "inspect-u",
+        "constant-include-zeros", "inspect-include-zeros",
+    ],
 )
 def test_a_mode_refuses_inputs_it_does_not_read(tmp_path, capsys, argv, job, output, refusal):
     expected = (1, "", f"error: {refusal}\n")
@@ -718,6 +727,16 @@ def test_table_and_expansion_build_no_polynomial_objects(capsys, monkeypatch):
 
 def _a400_quotient():
     return ["--type", "A400", "--parabolic", ",".join(map(str, range(2, 401)))]
+
+
+def test_a400_long_word_constant(capsys):
+    # sigma_150^2 = sigma_300 on CP^400: words of 150 and 300 letters go
+    # through poincare_dual, multiply, reduced_word and is_minimal_rep.
+    def down(k):
+        return ",".join(map(str, range(k, 0, -1)))
+
+    code, out, _ = run_cli(capsys, *_a400_quotient(), "--u", down(150), "--v", down(150), "--w", down(300))
+    assert (code, out) == (0, "1\n")
 
 
 def test_tables_need_no_longest_element_without_a_dual(capsys, monkeypatch):

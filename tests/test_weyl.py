@@ -28,6 +28,7 @@ from schuprod.weyl import (
     poincare_dual,
 )
 from schuprod.oracles import inverse, inversion_count, root_image
+from schuprod.rootsys import CartanMatrix
 
 RANK_LE_4_TYPES = [
     "A1", "A2", "A3", "A4",
@@ -48,13 +49,59 @@ def test_reflection_example(g2):
     assert apply_simple_reflection(1, (1, 1), g2) == (-1, 4)
 
 
-def test_reflection_involution(g2, a3):
+def test_reflection_involution():
+    # s_i(v)_j = v_j - v_i * C_ij and s_i^2 = 1 at every rank, on matrices
+    # built directly as well: B3, and one that no validation would pass.
     rng = random.Random(3)
-    for c in (g2, a3):
-        for _ in range(40):
+    direct = [
+        CartanMatrix(3, ((2, -1, 0), (-1, 2, -2), (0, -1, 2))),
+        CartanMatrix(4, tuple(tuple(2 if i == j else rng.randint(-3, 3) for j in range(4)) for i in range(4))),
+    ]
+    for c in [cartan_matrix_by_name(name) for name in RANK_LE_4_TYPES + ["A400"]] + direct:
+        for _ in range(40 if c.n <= 4 else 2):
             v = tuple(rng.randint(-5, 5) for _ in range(c.n))
             for i in range(1, c.n + 1):
-                assert apply_simple_reflection(i, apply_simple_reflection(i, v, c), c) == v
+                image = apply_simple_reflection(i, v, c)
+                assert image == tuple(v[j] - v[i - 1] * c.entries[i - 1][j] for j in range(c.n))
+                assert apply_simple_reflection(i, image, c) == v
+        for i in (0, c.n + 1):
+            with pytest.raises(IndexError):
+                apply_simple_reflection(i, v, c)
+
+
+class _Unreadable:
+    """Stands in for CartanMatrix.entries: any use of it fails."""
+
+    def _refuse(self, *args):
+        raise AssertionError("CartanMatrix.entries read")
+
+    __getattribute__ = __getitem__ = __iter__ = __len__ = __hash__ = __eq__ = __bool__ = _refuse
+
+
+def test_weyl_layer_reads_only_the_sparse_rows():
+    # With sparse_rows cached and entries made unreadable, the walk, the
+    # climb, words, the coset test and the duals answer as before.
+    def answers(c):
+        p = weyl.ParabolicSubset.of((2, 3))
+        group, reps = minimal_coset_reps(c, ()), minimal_coset_reps(c, p)
+        opposite, w0_p = opposition(c), longest_element(c, p.indices)
+        return (
+            group,
+            reps,
+            weyl.climb(c, p.weight(c)),
+            weyl.climb(c, range(1, c.n + 1), (1, 2), limit=3),
+            element_of_word((1, 2, 3, 4, 3, 2), c),
+            [reduced_word(e, c) for e in group],
+            [weyl.is_minimal_rep(e, p, c) for e in group],
+            longest_element(c),
+            [poincare_dual(x, w0_p, opposite, c) for x in reps],
+        )
+
+    expected = answers(cartan_matrix_by_name("F4"))
+    c = cartan_matrix_by_name("F4")
+    c.sparse_rows
+    object.__setattr__(c, "entries", _Unreadable())
+    assert answers(c) == expected
 
 
 def test_reflection_fixes_wall_points(a3, g2):
