@@ -10,8 +10,8 @@ file (group, parabolic subset, words, degrees), then one of four modes runs:
   selftest  (--selftest)       built-in fixtures and spot properties
 
 Exit codes: 0 success, 1 input error, 2 computation error (group size
-bound, or a negative constant, which means an internal bug), 3 selftest
-failure.  Usage errors, such as an unknown flag, are input errors.
+bound, out of memory, or a negative constant, which means an internal
+bug), 3 selftest failure.  Usage errors, such as an unknown flag, are input errors.
 """
 
 from __future__ import annotations
@@ -382,6 +382,10 @@ def main(argv=None) -> int:
         report = run(spec)
     except (GroupTooLarge, NegativeConstant) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Its message is usually empty.
+        print("error: out of memory", file=sys.stderr)
         return 2
     except (SchubertError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,17 +52,6 @@ class CartanMatrix:
     def as_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
-    def submatrix(self, indices) -> "CartanMatrix":
-        """Cartan matrix of the sub-root-system on the given 1-based indices."""
-        idx = sorted(set(indices))
-        for i in idx:
-            if not 1 <= i <= self.n:
-                raise IndexError(f"simple-root index {i} out of range 1..{self.n}")
-        rows = tuple(
-            tuple(self.entries[i - 1][j - 1] for j in idx) for i in idx
-        )
-        return CartanMatrix(len(idx), rows)
-
 
 @dataclass(frozen=True)
 class Root:

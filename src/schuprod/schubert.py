@@ -7,14 +7,17 @@ The constant on w in the product of the classes of u and v is the
 triangular operator of the word's relative Cartan matrix applied to the
 product of the two solution-set sums.
 
-The solver walks positions left to right carrying the group element
-still to be produced by the unchosen suffix.  Committing a position
-must shorten that remainder by one (a selection of l(u) letters
-spelling u is automatically a reduced word, and every suffix of a
-reduced word is reduced), so a position is taken only at a left descent
-of the remainder.  That prune keeps the remainder's length pinned to
-the number of letters still needed, and acceptance at the full count
-lands on the identity by construction.
+The solver is one pass over the word's positions, left to right, with
+no depth limit.  The position sets taken so far are grouped by the
+weight of the remainder they still have to spell, the group element
+left for the positions not yet read.  Taking a position must shorten
+that remainder by one (a selection of l(u) letters spelling u is
+automatically a reduced word, and every suffix of a reduced word is
+reduced), so a position is taken only at a left descent of the
+remainder, and a set is extended only while enough positions are left
+to finish it.  The remainder's length is then the number of letters
+still needed, and the sets that reach the full count are those under
+the identity's weight.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from .triop import HomogPoly, eliminate
 from .weyl import (
     ParabolicSubset,
     WeylElement,
+    apply_simple_reflection,
     climb,
     coset_levels,
     is_minimal_rep,
-    left_multiply,
     longest_element,
     opposition,
     poincare_dual,
@@ -66,29 +69,20 @@ def subword_solutions(word, target: WeylElement, c: CartanMatrix) -> list[tuple[
 
 
 def _solutions(letters, target: WeylElement, c: CartanMatrix) -> list[tuple[int, ...]]:
-    k = len(letters)
-    r = target.length
-    if r > k:
-        return []
-    sols: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def walk(j: int, remainder: WeylElement):
-        t = len(chosen)
-        if t == r:  # remainder is the identity: its length is r - t = 0
-            sols.append(tuple(chosen))
-            return
-        if k - j + 1 < r - t:
-            return
-        letter = letters[j - 1]
-        if remainder.rho_image[letter - 1] < 0:
-            chosen.append(j)
-            walk(j + 1, left_multiply(letter, remainder, c))
-            chosen.pop()
-        walk(j + 1, remainder)
-
-    walk(1, target)
-    return sols
+    k, r = len(letters), target.length
+    # The position sets taken so far, keyed by the weight of the remainder
+    # still to spell; every set under one key has the same size.
+    partial = {target.rho_image: [()]}
+    for j, letter in enumerate(letters, 1):
+        taken: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for image, sets in partial.items():
+            if image[letter - 1] < 0 and r - len(sets[0]) <= k - j + 1:
+                step = apply_simple_reflection(letter, image, c)
+                taken.setdefault(step, []).extend([s + (j,) for s in sets])
+        for image, sets in taken.items():
+            partial.setdefault(image, []).extend(sets)
+    # The complete sets sit under the identity's weight, rho = (1, ..., 1).
+    return sorted(partial.get((1,) * c.n, []))
 
 
 def subword_sum(word, target: WeylElement, c: CartanMatrix) -> HomogPoly:
@@ -257,10 +251,10 @@ class FlagManifold:
         are (v, w∨) (or (u, w∨)).  These canonical words are reduced by
         construction, so no word is checked here.
 
-        A dual word is the shorter only when dim < l(w) + max(l(u), l(v)).
-        Until dim is known, the climb that gives it stops at the largest
-        such bound of the triples: past the bound every choice is direct,
-        so min(dim, bound) picks as dim does.
+        A dual word is the shorter only when dim < l(w) + max(l(u), l(v)),
+        so the climb that gives dim stops at the largest such bound of the
+        triples: past the bound every choice is direct, so min(dim, bound)
+        picks as dim does, in at most bound steps.
         """
         triples = list(triples)
         bound = 0
@@ -268,8 +262,7 @@ class FlagManifold:
             if w.length != u.length + v.length:
                 raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
             bound = max(bound, w.length + max(u.length, v.length))
-        known = "dim" in vars(self)
-        dim = self.dim if known else climb(self.c, self.parabolic.weight(self.c), limit=bound)[1]
+        dim = climb(self.c, self.parabolic.weight(self.c), limit=bound)[1]
         batches: dict[WeylElement, list] = {}
         for j, (u, v, w) in enumerate(triples):
             chosen = choose_orientation(u.length, v.length, dim)[0]

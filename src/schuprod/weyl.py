@@ -127,10 +127,9 @@ def reduced_word(e: WeylElement, c: CartanMatrix) -> Word:
     letters = []
     cur = e
     while not cur.is_identity:
-        ds = descents(cur)
-        if not ds:
+        i = next((i for i, x in enumerate(cur.rho_image, 1) if x < 0), None)
+        if i is None:
             raise ValueError(f"{cur.rho_image} is not a valid canonical form")
-        i = ds[0]
         letters.append(i)
         cur = left_multiply(i, cur, c)
     return tuple(letters)

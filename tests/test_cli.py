@@ -438,6 +438,14 @@ def test_negative_constant_exits_2(capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(self, pairs, include_zeros=False):
+        raise MemoryError
+
+    monkeypatch.setattr(schubert.FlagManifold, "expand", exhausted)
+    assert run_cli(capsys, "--type", "A2", "--table", "1", "1") == (2, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("letter", [1.7, True])
 def test_job_file_rejects_non_integer_letters(tmp_path, capsys, letter):
     path = tmp_path / "job.json"
@@ -737,6 +745,13 @@ def test_a400_long_word_constant(capsys):
 
     code, out, _ = run_cli(capsys, *_a400_quotient(), "--u", down(150), "--v", down(150), "--w", down(300))
     assert (code, out) == (0, "1\n")
+
+
+def test_a400_thousand_letter_word_constant(capsys):
+    # a^w_{e,w} = 1 on the first 1,000 letters of (1..400)(1..399)...: past
+    # the depth at which a walk recursing per letter overflowed.
+    word = ",".join(map(str, [i for m in range(400, 0, -1) for i in range(1, m + 1)][:1000]))
+    assert run_cli(capsys, "--type", "A400", "--u", "", "--v", word, "--w", word) == (0, "1\n", "")
 
 
 def test_tables_need_no_longest_element_without_a_dual(capsys, monkeypatch):

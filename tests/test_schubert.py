@@ -80,6 +80,31 @@ def test_identity_target_solution(g2):
     assert poly.degree == 0 and poly.coefficient((0, 0, 0, 0, 0)) == 1
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_solutions_match_brute_force(name):
+    # Every position set of size l(u), in lexicographic order, kept when its
+    # letters compose to u: the solver's answer, order included.
+    c = cartan_matrix_by_name(name)
+    group = enumerate_group(c)
+    for w in group:
+        word = reduced_word(w, c)
+        for u in group:
+            expected = [
+                L for L in itertools.combinations(range(1, len(word) + 1), u.length)
+                if element_of_word([word[p - 1] for p in L], c) == u
+            ]
+            assert subword_solutions(word, u, c) == expected
+
+
+def test_solutions_have_no_depth_limit():
+    # A 1,100-letter prefix of the A400 word (1..400)(1..399)...: the walk
+    # once recursed per letter and overflowed past about 1,000 letters.
+    c = cartan_matrix_by_name("A400")
+    word = [i for m in range(400, 0, -1) for i in range(1, m + 1)][:1100]
+    assert subword_solutions(word, element_of_word(word, c), c) == [tuple(range(1, 1101))]
+    assert subword_solutions(word, element_of_word((1,), c), c) == [(1,), (401,), (800,)]
+
+
 def test_unit_law_exhaustive(g2):
     e = identity(g2)
     for v in enumerate_group(g2):
