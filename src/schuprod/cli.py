@@ -11,7 +11,8 @@ file (group, parabolic subset, words, degrees), then one of four modes runs:
 
 Exit codes: 0 success, 1 input error, 2 computation error (group size
 bound, out of memory, or a negative constant, which means an internal
-bug), 3 selftest failure.  Usage errors, such as an unknown flag, are input errors.
+bug), 3 selftest failure.  Usage errors, such as an unknown flag, are
+input errors.
 """
 
 from __future__ import annotations
