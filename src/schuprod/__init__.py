@@ -23,11 +23,6 @@ from .errors import (
     SizeMismatch,
     VariableCountMismatch,
 )
-from .oracles import (
-    grassmannian_dictionary,
-    lr_coefficient,
-    triangular_eval_closed,
-)
 from .relmat import RelativeCartanMatrix, cartan_matrix_of_word
 from .rootsys import (
     CartanMatrix,
@@ -62,6 +57,20 @@ from .weyl import (
 )
 
 __version__ = "0.1.0"
+
+# The oracles are second routes for tests and the selftest; they load on
+# first use, so that importing the package (and every run of the command
+# line) does not.
+_ORACLES = ("grassmannian_dictionary", "lr_coefficient", "triangular_eval_closed")
+
+
+def __getattr__(name):
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CartanMatrix",

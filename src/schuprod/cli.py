@@ -21,31 +21,44 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from . import schubert, selftest, weyl
+from . import schubert, weyl
 from .errors import GroupTooLarge, NegativeConstant, SchubertError
+from .frozen import Frozen
 from .relmat import element_of_reduced_word, relative_matrix_of_letters
 from .rootsys import CartanMatrix, cartan_matrix_by_name, validate_cartan
 from .weyl import Word
 
 
-@dataclass
-class JobSpec:
-    group: Optional[CartanMatrix]  # None only in selftest mode
-    parabolic: tuple[int, ...] = ()
-    mode: str = "constant"
-    u_word: Optional[Word] = None
-    v_word: Optional[Word] = None
-    w_word: Optional[Word] = None
-    table_degrees: Optional[tuple[int, int]] = None
-    include_zeros: bool = False
-    verbose: bool = False
-    max_group_order: int = weyl.DEFAULT_MAX_GROUP_ORDER
-    echo_matrix: bool = False
-    show_matrix: bool = False
+class JobSpec(Frozen):
+    """One request, as _read_request accepted it; group is None only in
+    selftest mode."""
+
+    __slots__ = ("group", "parabolic", "mode", "u_word", "v_word", "w_word", "table_degrees",
+                 "include_zeros", "verbose", "max_group_order", "echo_matrix", "show_matrix")
+
+    def __init__(
+        self,
+        group: Optional[CartanMatrix],
+        parabolic: tuple[int, ...] = (),
+        mode: str = "constant",
+        u_word: Optional[Word] = None,
+        v_word: Optional[Word] = None,
+        w_word: Optional[Word] = None,
+        table_degrees: Optional[tuple[int, int]] = None,
+        include_zeros: bool = False,
+        verbose: bool = False,
+        max_group_order: int = weyl.DEFAULT_MAX_GROUP_ORDER,
+        echo_matrix: bool = False,
+        show_matrix: bool = False,
+    ):
+        for name, value in zip(self.__slots__, (
+            group, parabolic, mode, u_word, v_word, w_word, table_degrees,
+            include_zeros, verbose, max_group_order, echo_matrix, show_matrix,
+        )):
+            object.__setattr__(self, name, value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,6 +256,9 @@ def run(spec: JobSpec) -> dict:
     if spec.mode == "selftest":
         if spec.echo_matrix or spec.show_matrix:
             raise ValueError("selftest mode has no matrix or word to show")
+        # Imported here only: no other mode loads the selftest or its oracles.
+        from . import selftest
+
         checks = [vars(result) for result in selftest.run_selftest()]
         return {"format_version": 1, "mode": "selftest", "checks": checks}
     c = spec.group

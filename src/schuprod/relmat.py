@@ -16,17 +16,18 @@ over, so repeating letters repeat entry patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotReduced
+from .frozen import Frozen
 from .rootsys import CartanMatrix
 from .weyl import WeylElement, element_of_word
 
 
-@dataclass(frozen=True)
-class RelativeCartanMatrix:
-    k: int
-    entries: tuple[tuple[int, ...], ...]
+class RelativeCartanMatrix(Frozen):
+    __slots__ = ("k", "entries")
+
+    def __init__(self, k: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "entries", entries)
 
     def as_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

@@ -11,11 +11,11 @@ All public indices (simple roots, word letters) are 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotCartan, NotFiniteType
+from .frozen import Frozen
 
 # Off-diagonal Cartan numbers of finite type.
 _ALLOWED_OFF_DIAGONAL = (0, -1, -2, -3)
@@ -26,8 +26,7 @@ _ALLOWED_OFF_DIAGONAL = (0, -1, -2, -3)
 MAX_RANK = 500
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(Frozen):
     """Validated Cartan matrix.
 
     entries[i][j] is the Cartan number 2(b_i, b_j)/(b_j, b_j) of simple
@@ -37,8 +36,11 @@ class CartanMatrix:
     cartan_matrix_by_name.
     """
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "entries", "__dict__")
+
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     @cached_property
     def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -53,17 +55,17 @@ class CartanMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Frozen):
     """Root in simple-root coordinates; either all coords >= 0 or all <= 0."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if not self.coords or all(x == 0 for x in self.coords):
+    def __init__(self, coords: tuple[int, ...]):
+        if not coords or all(x == 0 for x in coords):
             raise ValueError("root must be nonzero")
-        if any(x > 0 for x in self.coords) and any(x < 0 for x in self.coords):
-            raise ValueError(f"mixed-sign coordinates are not a root: {self.coords}")
+        if any(x > 0 for x in coords) and any(x < 0 for x in coords):
+            raise ValueError(f"mixed-sign coordinates are not a root: {coords}")
+        object.__setattr__(self, "coords", coords)
 
     @property
     def is_positive(self) -> bool:

@@ -23,13 +23,13 @@ the identity's weight.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import add
 from threading import Lock
 from typing import Optional
 
 from .errors import GroupTooLarge, LengthMismatch, NegativeConstant, NotMinimalRep
+from .frozen import Frozen
 from .relmat import _reduced_letters, relative_matrix_of_letters
 from .rootsys import CartanMatrix
 from .triop import HomogPoly, eliminate
@@ -48,18 +48,16 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class StructureConstant:
-    u: WeylElement
-    v: WeylElement
-    w: WeylElement
-    value: int
+class StructureConstant(Frozen):
+    __slots__ = ("u", "v", "w", "value")
 
-    def __post_init__(self):
-        if self.w.length != self.u.length + self.v.length:
-            raise LengthMismatch(
-                f"l(w)={self.w.length} but l(u)+l(v)={self.u.length + self.v.length}"
-            )
+    def __init__(self, u: WeylElement, v: WeylElement, w: WeylElement, value: int):
+        if w.length != u.length + v.length:
+            raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "value", value)
 
 
 def subword_solutions(word, target: WeylElement, c: CartanMatrix) -> list[tuple[int, ...]]:

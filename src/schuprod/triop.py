@@ -333,7 +333,13 @@ def _eliminate_last(packed: dict, m: int, b: int, column, ones: int, full: int, 
     groups: dict[int, list] = {}
     for key, vec in packed.items():
         groups.setdefault(key >> top, []).append((key & (1 << top) - 1, vec))
-    tails = [[(inc, a) for inc, a in column if inc >> b * lo] for lo in range(m)]
+    # tails[lo]: the column's entries of rows lo and on.  The column is
+    # sorted by row, so that is the suffix from its first such entry, and
+    # every lo up to an entry's row shares the suffix the entry starts.
+    tails: list[list] = []
+    for j, (inc, _) in enumerate(column):
+        tails += [column[j:]] * (inc.bit_length() // b + 1 - len(tails))
+    tails += [[]] * (m - len(tails))
     acc: dict[int, int] = {}
     for r in range(max(groups), 0, -1):
         if acc:

@@ -22,11 +22,11 @@ Letters are 1-based simple-root indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import GroupTooLarge
+from .frozen import Frozen
 from .rootsys import CartanMatrix
 
 Word = tuple[int, ...]
@@ -34,27 +34,45 @@ Word = tuple[int, ...]
 DEFAULT_MAX_GROUP_ORDER = 10**6
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Frozen):
     """Canonical form of a group element: w(rho) plus cached length."""
 
-    rho_image: tuple[int, ...]
-    length: int
+    __slots__ = ("rho_image", "length")
 
-    def __post_init__(self):
-        if 0 in self.rho_image:
-            raise ValueError(f"{self.rho_image} is not in the regular orbit")
+    def __init__(self, rho_image: tuple[int, ...], length: int):
+        if 0 in rho_image:
+            raise ValueError(f"{rho_image} is not in the regular orbit")
+        _set_rho_image(self, rho_image)
+        _set_length(self, length)
+
+    # The walks build and hash tens of thousands of elements: plain slot
+    # reads are faster here than the attrgetter key of Frozen, and equal
+    # elements have equal images, so the image alone is the hash.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rho_image == other.rho_image and self.length == other.length
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rho_image)
 
     @property
     def is_identity(self) -> bool:
         return self.length == 0
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
+# The slots' own setters, which skip the lookup of object.__setattr__.
+_set_rho_image = WeylElement.rho_image.__set__
+_set_length = WeylElement.length.__set__
+
+
+class ParabolicSubset(Frozen):
     """Set of 1-based simple-root indices whose reflections generate W'."""
 
-    indices: frozenset[int]
+    __slots__ = ("indices",)
+
+    def __init__(self, indices: frozenset[int]):
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def of(cls, indices: "Iterable[int] | ParabolicSubset") -> "ParabolicSubset":

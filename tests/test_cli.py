@@ -282,7 +282,7 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
     def broken():
         return [selftest_mod.CheckResult("made-up-check", False, "forced")]
 
-    monkeypatch.setattr(cli.selftest, "run_selftest", broken)
+    monkeypatch.setattr(selftest_mod, "run_selftest", broken)
     code, out, _ = run_cli(capsys, "--selftest")
     assert code == 3
     assert "FAIL made-up-check: forced" in out
@@ -300,7 +300,7 @@ def test_selftest_json_report(capsys, monkeypatch):
     from schuprod import selftest as selftest_mod
 
     failed = [selftest_mod.CheckResult("made-up-check", False, "forced")]
-    monkeypatch.setattr(cli.selftest, "run_selftest", lambda: failed)
+    monkeypatch.setattr(selftest_mod, "run_selftest", lambda: failed)
     code, out, _ = run_cli(capsys, "--selftest", "--json")
     assert code == 3
     assert json.loads(out)["checks"] == [{"name": "made-up-check", "passed": False, "detail": "forced"}]
@@ -752,6 +752,16 @@ def test_a400_thousand_letter_word_constant(capsys):
     # the depth at which a walk recursing per letter overflowed.
     word = ",".join(map(str, [i for m in range(400, 0, -1) for i in range(1, m + 1)][:1000]))
     assert run_cli(capsys, "--type", "A400", "--u", "", "--v", word, "--w", word) == (0, "1\n", "")
+
+
+def test_a63_thousand_letter_word_constant(capsys):
+    # a^w_{e,w} = 1 on the first 1,000 letters of the reduced word of w0.
+    # A column of its relative matrix has 43 nonzero entries on average;
+    # the operator once rebuilt each level's tails in O(k * column) shifts,
+    # about 7 s of this constant.
+    c = cartan_matrix_by_name("A63")
+    word = ",".join(map(str, weyl.reduced_word(weyl.longest_element(c), c)[:1000]))
+    assert run_cli(capsys, "--type", "A63", "--u", "", "--v", word, "--w", word) == (0, "1\n", "")
 
 
 def test_tables_need_no_longest_element_without_a_dual(capsys, monkeypatch):

@@ -205,9 +205,9 @@ def test_group_bound_is_checked_per_representative(monkeypatch, p):
     made = []
 
     class Counting(WeylElement):
-        def __post_init__(self):
-            made.append(self.rho_image)
-            super().__post_init__()
+        def __init__(self, rho_image, length):
+            made.append(rho_image)
+            super().__init__(rho_image, length)
 
     monkeypatch.setattr(weyl, "WeylElement", Counting)
     with pytest.raises(GroupTooLarge):
