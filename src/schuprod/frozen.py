@@ -5,7 +5,8 @@ own __init__ through object.__setattr__.  It then behaves as a frozen
 dataclass: objects of the same class with equal fields are equal and
 hash alike, objects of different classes are never equal, the repr
 names the fields, and any assignment or deletion raises AttributeError.
-Equality and hash read the fields through one operator.attrgetter, in C.
+Equality and hash read the fields through one operator.attrgetter, in C;
+a class on a hot path may define its own.
 
 The package's value classes are built on this plain class, not on
 dataclasses, so that a run of the command line does not import

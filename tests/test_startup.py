@@ -29,8 +29,8 @@ def _python(code, *args):
 
 
 def _loaded(code, *args):
-    """The modules an interpreter holds after running code, json and sys
-    aside, as the last line of its stdout."""
+    """The modules an interpreter holds after running code, from the last
+    line of its stdout (the listing itself imports json, in every run)."""
     return set(json.loads(_python(f"{code}\n{SHOW_MODULES}", *args).splitlines()[-1]))
 
 
