@@ -314,10 +314,10 @@ def _working(letters, u, v, c) -> dict:
     sum, one {exponents, coefficient} record per monomial in exponent order."""
     working = {"w_word": list(letters), "relative_matrix": relative_matrix_of_letters(letters, c).as_lists()}
     for name, x in (("u", u), ("v", v)):
-        solutions = schubert._solutions(letters, x, c)
-        working[f"{name}_solutions"] = [list(L) for L in solutions]
-        exponents = sorted(schubert._exponents(L, len(letters)) for L in solutions)
-        working[f"{name}_sum"] = [{"exponents": list(e), "coefficient": 1} for e in exponents]
+        masks = schubert._solutions(letters, x, c)
+        working[f"{name}_solutions"] = [list(L) for L in schubert._positions(masks)]
+        exponents = sorted([m >> i & 1 for i in range(len(letters))] for m in masks)
+        working[f"{name}_sum"] = [{"exponents": e, "coefficient": 1} for e in exponents]
     return working
 
 

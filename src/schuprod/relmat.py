@@ -11,7 +11,14 @@ other way around.  (The two readings agree up to relabeling in rank 2,
 where either one reproduces the worked 5x5 matrices; quotients of rank
 3, where the quadric and the projective space must come out different,
 pin this one.)  An entry depends only on the pair of letters it sits
-over, so repeating letters repeat entry patterns.
+over, so repeating letters repeat entry patterns, and it is nonzero only
+where the two letters are equal or adjacent in the Dynkin diagram.
+
+The operator reads the matrix one column at a time, so the pipeline
+builds only its sparse columns (relative_columns), from the earlier
+positions of the letters each letter pairs with.  The dense matrix
+(relative_matrix_of_letters) is a view of those columns, for
+cartan_matrix_of_word and the CLI's --show-matrix and --verbose output.
 """
 
 from __future__ import annotations
@@ -58,15 +65,22 @@ def _reduced_letters(word, c: CartanMatrix) -> tuple[int, ...]:
     return letters
 
 
-def relative_matrix_of_letters(letters: tuple[int, ...], c: CartanMatrix) -> RelativeCartanMatrix:
-    """The relative matrix of a word the caller has already checked to be
-    reduced (_reduced_letters checks it)."""
-    k = len(letters)
-    rows = tuple(
-        tuple(
-            -c.pairing(letters[b], letters[a]) if a < b else 0
-            for b in range(k)
-        )
-        for a in range(k)
-    )
-    return RelativeCartanMatrix(k, rows)
+def relative_columns(letters, c: CartanMatrix) -> list[list[tuple[int, int]]]:
+    """The relative matrix of a reduced word (_reduced_letters checks it),
+    column by column: column b lists the nonzero entries
+    (a, -C[i_b][i_a]), a < b, sorted by row a (0-based)."""
+    # seen[i]: the positions read so far of letter i + 1.
+    seen: list[list[int]] = [[] for _ in range(c.n)]
+    columns = []
+    for b, letter in enumerate(letters):
+        columns.append(sorted((a, -pairing) for i, pairing in c.sparse_rows[letter - 1] for a in seen[i]))
+        seen[letter - 1].append(b)
+    return columns
+
+
+def relative_matrix_of_letters(letters, c: CartanMatrix) -> RelativeCartanMatrix:
+    """The dense view of relative_columns, for a word the caller has
+    already checked to be reduced."""
+    columns = [dict(column) for column in relative_columns(letters, c)]
+    rows = tuple(tuple(column.get(a, 0) for column in columns) for a in range(len(columns)))
+    return RelativeCartanMatrix(len(rows), rows)

@@ -14,25 +14,30 @@ left for the positions not yet read.  Taking a position must shorten
 that remainder by one (a selection of l(u) letters spelling u is
 automatically a reduced word, and every suffix of a reduced word is
 reduced), so a position is taken only at a left descent of the
-remainder, and a set is extended only while enough positions are left
-to finish it.  The remainder's length is then the number of letters
-still needed, and the sets that reach the full count are those under
-the identity's weight.
+remainder.  The remainder's length is then the number of letters still
+needed, a group is dropped once it needs more letters than are left,
+and the sets that reach the full count are those under the identity's
+weight.
+
+A position set is one int, the sum of 1 << width*(a-1) over its
+positions a.  With width = triop.key_width(k) that is the operator's key
+of the monomial x_L, so the product of two solutions is the sum of their
+keys and goes to triop.eliminate as it is; with width 1 it is a bit
+mask, which subword_solutions and subword_sum decode.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache, cached_property
-from operator import add
 from threading import Lock
 from typing import Optional
 
 from .errors import GroupTooLarge, LengthMismatch, NegativeConstant, NotMinimalRep
 from .frozen import Frozen
-from .relmat import _reduced_letters, relative_matrix_of_letters
+from .relmat import _reduced_letters, relative_columns
 from .rootsys import CartanMatrix
-from .triop import HomogPoly, eliminate
+from .triop import HomogPoly, eliminate, key_width
 from .weyl import (
     ParabolicSubset,
     WeylElement,
@@ -63,40 +68,46 @@ class StructureConstant(Frozen):
 def subword_solutions(word, target: WeylElement, c: CartanMatrix) -> list[tuple[int, ...]]:
     """All position sets of size l(target) in the reduced word whose
     letters compose to target, in lexicographic order (1-based)."""
-    return _solutions(_reduced_letters(word, c), target, c)
+    return _positions(_solutions(_reduced_letters(word, c), target, c))
 
 
-def _solutions(letters, target: WeylElement, c: CartanMatrix) -> list[tuple[int, ...]]:
+def _positions(masks) -> list[tuple[int, ...]]:
+    """Bit-mask position sets as 1-based position tuples, in lexicographic order."""
+    return sorted(tuple(a for a in range(1, m.bit_length() + 1) if m >> a - 1 & 1) for m in masks)
+
+
+def _solutions(letters, target: WeylElement, c: CartanMatrix, width: int = 1) -> list[int]:
+    """The solutions on letters already known to be a reduced word, each
+    the sum of 1 << width*(a-1) over its positions a, in no set order."""
     k, r = len(letters), target.length
     # The position sets taken so far, keyed by the weight of the remainder
     # still to spell; every set under one key has the same size.
-    partial = {target.rho_image: [()]}
-    for j, letter in enumerate(letters, 1):
-        taken: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    partial = {target.rho_image: [0]}
+    for j, letter in enumerate(letters):
+        bit = 1 << width * j
+        taken, doomed = {}, []
         for image, sets in partial.items():
-            if image[letter - 1] < 0 and r - len(sets[0]) <= k - j + 1:
+            if image[letter - 1] < 0:
                 step = apply_simple_reflection(letter, image, c)
-                taken.setdefault(step, []).extend([s + (j,) for s in sets])
+                taken.setdefault(step, []).extend([s + bit for s in sets])
+            # k - j - 1 letters follow this one: a group that needs more
+            # cannot finish (its sets that take this letter are in taken).
+            if r - sets[0].bit_count() >= k - j:
+                doomed.append(image)
+        for image in doomed:
+            del partial[image]
         for image, sets in taken.items():
             partial.setdefault(image, []).extend(sets)
     # The complete sets sit under the identity's weight, rho = (1, ..., 1).
-    return sorted(partial.get((1,) * c.n, []))
+    return partial.get((1,) * c.n, [])
 
 
 def subword_sum(word, target: WeylElement, c: CartanMatrix) -> HomogPoly:
     """The square-free polynomial summing x_L over all solutions."""
     letters = _reduced_letters(word, c)
     k = len(letters)
-    terms = {_exponents(positions, k): 1 for positions in _solutions(letters, target, c)}
+    terms = {tuple(m >> i & 1 for i in range(k)): 1 for m in _solutions(letters, target, c)}
     return HomogPoly(k, target.length, terms)
-
-
-def _exponents(positions, k: int) -> tuple[int, ...]:
-    """The exponent vector of x_L for a solution L (1-based positions)."""
-    exps = [0] * k
-    for pos in positions:
-        exps[pos - 1] = 1
-    return tuple(exps)
 
 
 def structure_constants_for_word(word, pairs, c: CartanMatrix) -> list[int]:
@@ -121,23 +132,21 @@ def _constants_of_letters(letters: tuple[int, ...], pairs, c: CartanMatrix) -> l
     """structure_constants_for_word on letters already known to be a
     reduced word, for pairs whose lengths already sum to its length.
 
-    The word's relative matrix is built once, each distinct factor's
-    subword equations solved once, and all products go straight into one
-    batched elimination of the triangular operator (triop.eliminate).
+    The word's relative matrix is built once, as sparse columns, each
+    distinct factor's subword equations solved once, with the solutions
+    as monomial keys, and all products go straight into one batched
+    elimination of the triangular operator (triop.eliminate).
     """
-    k = len(letters)
-    exponents: dict[WeylElement, list[tuple[int, ...]]] = {}
+    width = key_width(len(letters))
+    keys: dict[WeylElement, list[int]] = {}
     for factor in (x for pair in pairs for x in pair):
-        if factor not in exponents:
-            exponents[factor] = [_exponents(L, k) for L in _solutions(letters, factor, c)]
-    batch = [j for j, (u, v) in enumerate(pairs) if exponents[u] and exponents[v]]
-    products = [
-        Counter(tuple(map(add, e1, e2)) for e1 in exponents[u] for e2 in exponents[v])
-        for u, v in (pairs[j] for j in batch)
-    ]
-    a = relative_matrix_of_letters(letters, c)
+        if factor not in keys:
+            keys[factor] = _solutions(letters, factor, c, width)
+    batch = [j for j, (u, v) in enumerate(pairs) if keys[u] and keys[v]]
+    products = [Counter([e1 + e2 for e1 in keys[u] for e2 in keys[v]]) for u, v in (pairs[j] for j in batch)]
+    columns = relative_columns(letters, c)
     values = [0] * len(pairs)
-    for j, value in zip(batch, eliminate(a.entries, products)):
+    for j, value in zip(batch, eliminate(columns, products)):
         # Intersection theory makes valid constants non-negative; a
         # negative value can only mean a bug upstream.
         if value < 0:

@@ -18,22 +18,25 @@ and tests fuzz that the two agree exactly.
 The recursion evaluates several polynomials on the same matrix in one
 elimination: the operator is linear, so eliminate takes one sparse
 polynomial per input and carries, per monomial, the vector of their
-coefficients.  Each level applies law 3 by Horner's rule, one
-multiplication by the elimination form per step.  It also prunes: once a
-proper prefix x_1..x_i of a monomial carries degree above i, later steps
-can only raise it, so the monomial cannot reach law 2 and is dropped as
-it appears (vanishing_filter states the test; law 1 is its longest
-prefix).
+coefficients.  Level m reads only column m of the matrix, so eliminate
+takes the matrix as its sparse columns.  Each level applies law 3 by
+Horner's rule, one multiplication by the elimination form per step.  It
+also prunes: once a proper prefix x_1..x_i of a monomial carries degree
+above i, later steps can only raise it, so the monomial cannot reach
+law 2 and is dropped as it appears (vanishing_filter states the test;
+law 1 is its longest prefix).
 
-Inside eliminate a monomial is one int and a coefficient vector is one
+A monomial is one int, its key, from the subword solver (schubert) to
+the end of eliminate, and inside eliminate a coefficient vector is one
 int:
 
   * the exponent of x_{i+1} sits in bits [b*i, b*(i+1)), with
-    b = (k+1).bit_length() + 1, so every exponent and every prefix sum of
+    b = key_width(k), so every exponent and every prefix sum of
     exponents (at most k) fits below the top bit of its b-bit lane.
-    Raising x_{i+1} adds 1 << b*i; multiplying by sum_j 1 << b*j puts the
-    prefix sums in the lanes, so the prefix test is one multiplication,
-    one addition, one mask and one bit_length;
+    Multiplying monomials adds their keys, and raising x_{i+1} adds
+    1 << b*i; multiplying by sum_j 1 << b*j puts the prefix sums in the
+    lanes, so the prefix test is one multiplication, one addition, one
+    mask and one bit_length;
   * the vector (c_0, ..., c_{n-1}) is the integer sum of c_j * 2^(W*j),
     n signed lanes of W bits.  Adding vectors and multiplying one by an
     integer are then single int operations.
@@ -66,8 +69,6 @@ exactness contract holds with no overflow concerns.
 """
 
 from __future__ import annotations
-
-from operator import lshift
 
 from .errors import DegreeMismatch, VariableCountMismatch
 
@@ -172,6 +173,12 @@ def _matrix_rows(a) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
+def key_width(k: int) -> int:
+    """The lane width b of a monomial key in k variables: the exponent of
+    x_{i+1} sits in bits [b*i, b*(i+1))."""
+    return (k + 1).bit_length() + 1
+
+
 def triangular_eval(a, p: HomogPoly) -> int:
     """Evaluate the triangular operator of matrix a on p (degree = k)."""
     return triangular_eval_many(a, [p])[0]
@@ -191,21 +198,26 @@ def triangular_eval_many(a, polys) -> list[int]:
             raise DegreeMismatch(f"polynomial in {p.k} variables, matrix of size {k}")
         if p.degree != k:
             raise DegreeMismatch(f"degree {p.degree} polynomial, expected degree {k}")
-    return eliminate(rows, [p.terms for p in polys])
+    columns = [[(i, row[m]) for i, row in enumerate(rows) if row[m]] for m in range(k)]
+    b = key_width(k)
+    keys = [{sum(e << b * i for i, e in enumerate(exps)): c for exps, c in p.terms.items()} for p in polys]
+    return eliminate(columns, keys)
 
 
-def eliminate(rows, polys) -> list[int]:
-    """The operator of the strictly upper-triangular rows on each of the
-    degree-k polynomials polys, each a dict from exponent tuple to int,
-    k = len(rows).
+def eliminate(columns, polys) -> list[int]:
+    """The operator of a strictly upper-triangular k x k matrix, given as
+    its k columns, on each of the degree-k polynomials polys.
 
-    Packs each monomial into one int and the coefficients of the inputs on
-    it into one vector int (see the module docstring), eliminates x_k, ...,
-    x_2 one level at a time, and unpacks the coefficient of x_1, which law 2
-    makes the value (for k = 0, that of the empty monomial).
+    Column m lists the nonzero entries (i, a_{i,m}) above the diagonal,
+    sorted by row i (0-based); each polynomial is a dict from monomial key
+    (key_width(k) lanes, see the module docstring) to int.  Packs the
+    coefficients of the inputs on each monomial into one vector int,
+    eliminates x_k, ..., x_2 one level at a time, and unpacks the
+    coefficient of x_1, which law 2 makes the value (for k = 0, that of
+    the empty monomial).
     """
-    k = len(rows)
-    b = (k + 1).bit_length() + 1
+    k = len(columns)
+    b = key_width(k)
     # Lane j of key * ones is the prefix sum S_j of the exponents, and lane
     # j of ones * ones is j + 1.  Adding full sets lane j's guard bit,
     # 2^(b-1), exactly when x_1..x_{j+1} is full (S_j >= j+1), and no lane
@@ -216,27 +228,20 @@ def eliminate(rows, polys) -> list[int]:
     full = guards - (ones * ones & (1 << b * k) - 1)
     # A proper prefix past full (S_j >= j+2) is vanishing_filter's test.
     over, proper = full - ones, guards >> b
-    shifts = range(0, b * k, b)
     n = len(polys)
     bound = max((abs(c) for p in polys for c in p.values()), default=0).bit_length()
     lanes = _Lanes(n, bound + 8)
-    # Each distinct monomial's key, or -1 once the prefix test prunes it.
-    keys: dict[tuple, int] = {}
     packed: dict[int, int] = {}
     for j, poly in enumerate(polys):
         shift = lanes.width * j
-        for exps, coeff in poly.items():
-            key = keys.get(exps)
-            if key is None:
-                key = sum(map(lshift, exps, shifts))
-                key = keys[exps] = -1 if (key * ones + over) & proper else key
-            if key >= 0:
+        for key, coeff in poly.items():
+            if not (key * ones + over) & proper:
                 packed[key] = packed.get(key, 0) + (coeff << shift)
     # Level m = 0 would be law 2 alone: the value is the coefficient of x_1.
     for m in range(k - 1, 0, -1):
         if not packed:
             break
-        column = [(1 << b * i, row[m]) for i, row in enumerate(rows[:m]) if row[m]]
+        column = [(1 << b * i, a) for i, a in columns[m]]
         top = max(packed) >> b * m
         growth = ((1 + sum([abs(a) for _, a in column])) ** (top - 1)).bit_length()
         if bound + growth >= lanes.width:

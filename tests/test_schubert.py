@@ -1,4 +1,6 @@
 import itertools
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -103,6 +105,33 @@ def test_solutions_have_no_depth_limit():
     word = [i for m in range(400, 0, -1) for i in range(1, m + 1)][:1100]
     assert subword_solutions(word, element_of_word(word, c), c) == [tuple(range(1, 1101))]
     assert subword_solutions(word, element_of_word((1,), c), c) == [(1,), (401,), (800,)]
+
+
+SOLVER_UNDER_A_CAP = """
+import resource, sys
+cap = int(sys.argv[1]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from schuprod import cartan_matrix_by_name, subword_solutions
+from schuprod.weyl import element_of_word, longest_element, reduced_word
+c = cartan_matrix_by_name("E7")
+word = reduced_word(longest_element(c), c)[:36]
+print(len(subword_solutions(word, element_of_word(word[:18], c), c)))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_solver_holds_only_sets_that_can_finish():
+    # The first 36 letters of E7's word of w0, with a target of length 18:
+    # 113,331 solutions.  One int per partial set, each dropped once it
+    # cannot finish, runs in under 100 MB of address space; tuples of
+    # positions, or sets kept after they cannot finish, take over 300 MB.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", SOLVER_UNDER_A_CAP, "200"], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "113331\n"
 
 
 def test_unit_law_exhaustive(g2):

@@ -1,4 +1,5 @@
-"""Start-up contract: a command-line job loads only the code it runs.
+"""Start-up contract: a command-line job loads only the code it runs, and
+builds only what the operator reads.
 
 Each check runs a fresh interpreter on the package sources, so that the
 modules the test session has already imported do not count."""
@@ -19,11 +20,15 @@ UNUSED_BY_JOBS = {"dataclasses", "inspect", "schuprod.oracles", "schuprod.selfte
 SHOW_MODULES = "import sys; print(__import__('json').dumps(sorted(sys.modules)))"
 
 
-def _python(code, *args):
+def _run(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _python(code, *args):
+    result = _run(code, *args)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -63,3 +68,41 @@ def test_oracles_load_on_first_use_from_the_package():
         "print(lr_coefficient((1,), (1,), (2,)), 'schuprod.oracles' in sys.modules)"
     )
     assert _python(code) == "1 True\n"
+
+
+# Runs the CLI with the dense relative matrix and the exponent-tuple
+# polynomial refused wherever the package binds them.
+WITHOUT_DENSE_FORMS = """
+import sys
+import schuprod.cli
+from schuprod.triop import HomogPoly
+
+def refuse(*args):
+    raise RuntimeError("dense form built")
+
+for module in [m for name, m in sys.modules.items() if name.startswith("schuprod")]:
+    if hasattr(module, "relative_matrix_of_letters"):
+        module.relative_matrix_of_letters = refuse
+HomogPoly.__init__ = refuse
+sys.exit(schuprod.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "E6", "--table", "1", "2"],
+    ["--type", "F4", "--parabolic", "1,2,3", "--table", "7", "7", "--json"],
+    ["--type", "B3", "--u", "1", "--v", "2,1", "--expand", "--include-zeros"],
+    ["--type", "G2", "--u", "2,1,2", "--v", "1,2", "--w", "2,1,2,1,2"],
+], ids=["table", "table-dual", "expand", "constant"])
+def test_a_job_builds_no_dense_matrix_or_exponent_tuple(argv):
+    # The pipeline hands the operator sparse columns and monomial keys.
+    plain = "import sys, schuprod.cli\nsys.exit(schuprod.cli.main(sys.argv[1:]))"
+    assert _python(WITHOUT_DENSE_FORMS, *argv) == _python(plain, *argv)
+
+
+@pytest.mark.parametrize("extra", [["--show-matrix"], ["--verbose"]])
+def test_only_the_matrix_and_working_output_build_the_dense_matrix(extra):
+    # The guard above bites where the dense matrix is printed.
+    argv = ["--type", "G2", "--u", "2,1,2", "--v", "1,2", "--w", "2,1,2,1,2", *extra]
+    refused = _run(WITHOUT_DENSE_FORMS, *argv)
+    assert refused.returncode != 0 and "dense form built" in refused.stderr
