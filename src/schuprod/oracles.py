@@ -20,6 +20,7 @@ the canonical form, with lambda_j = pi(k+1-j) - (k+1-j).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
 from .errors import DegreeMismatch, NotGrassmannianPermutation, SizeMismatch
@@ -304,7 +305,7 @@ def chevalley(i: int, w: WeylElement, c: CartanMatrix, parabolic=()) -> dict[Wey
     if i in p.indices:
         raise ValueError(f"s_{i} lies in W_P, so it has no Schubert class in G/P")
     n, rows = c.n, c.entries
-    norms = [1 / d for d in symmetrizer(rows)]  # (b_m, b_m), one scale per component
+    norms = [Fraction(1, d) for d in symmetrizer(rows)]  # (b_m, b_m), one scale per component
     word = reduced_word(w, c)
     terms: dict[WeylElement, int] = {}
     for beta in positive_roots(c):

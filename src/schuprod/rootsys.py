@@ -11,8 +11,8 @@ All public indices (simple roots, word letters) are 1-based.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .errors import NotCartan, NotFiniteType
 from .frozen import Frozen
@@ -131,29 +131,42 @@ def _check_finite_type(rows):
             )
 
 
-def symmetrizer(rows) -> list[Fraction]:
-    """d_i > 0 with d_i*rows[i][j] = d_j*rows[j][i], so that d_i is
-    proportional to 1/(b_i, b_i) on each component; raises NotFiniteType
-    if there is none."""
+def symmetrizer(rows) -> list[int]:
+    """Positive integers d_i with d_i*rows[i][j] = d_j*rows[j][i], so that
+    d_i is proportional to 1/(b_i, b_i) on each component; raises
+    NotFiniteType if there is none.  Each component starts from 1 at its
+    first node, and its ratios, kept as reduced int pairs, are scaled by
+    the least common multiple of their denominators."""
     n = len(rows)
     # Propagate along the nonzero off-diagonal graph, component by component.
-    d = [None] * n
+    d = [0] * n
+    ratio: list = [None] * n
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
-        stack = [start]
+        ratio[start] = (1, 1)
+        stack, component = [start], [start]
         while stack:
             i = stack.pop()
+            num, den = ratio[i]
             for j in range(n):
                 if i == j or rows[i][j] == 0:
                     continue
-                dj = d[i] * Fraction(rows[i][j], rows[j][i])
-                if d[j] is None:
-                    d[j] = dj
+                # d_j = d_i * rows[i][j] / rows[j][i], with den > 0.
+                p, q = num * rows[i][j], den * rows[j][i]
+                if q < 0:
+                    p, q = -p, -q
+                g = gcd(p, q)
+                dj = p // g, q // g
+                if ratio[j] is None:
+                    ratio[j] = dj
+                    component.append(j)
                     stack.append(j)
-                elif d[j] != dj:
+                elif ratio[j] != dj:
                     raise NotFiniteType("matrix is not symmetrizable")
+        scale = lcm(*(ratio[j][1] for j in component))
+        for j in component:
+            d[j] = ratio[j][0] * scale // ratio[j][1]
     return d
 
 

@@ -138,12 +138,13 @@ def _constants_of_letters(letters: tuple[int, ...], pairs, c: CartanMatrix) -> l
     elimination of the triangular operator (triop.eliminate).
     """
     width = key_width(len(letters))
-    keys: dict[WeylElement, list[int]] = {}
-    for factor in (x for pair in pairs for x in pair):
-        if factor not in keys:
-            keys[factor] = _solutions(letters, factor, c, width)
-    batch = [j for j, (u, v) in enumerate(pairs) if keys[u] and keys[v]]
-    products = [Counter([e1 + e2 for e1 in keys[u] for e2 in keys[v]]) for u, v in (pairs[j] for j in batch)]
+    # Keyed on the canonical form, whose hash is the tuple's own, not a
+    # Python-level WeylElement.__hash__ per factor of every pair.
+    distinct = {x.rho_image: x for pair in pairs for x in pair}
+    keys = {image: _solutions(letters, x, c, width) for image, x in distinct.items()}
+    factors = [(keys[u.rho_image], keys[v.rho_image]) for u, v in pairs]
+    batch = [j for j, (ku, kv) in enumerate(factors) if ku and kv]
+    products = [Counter([e1 + e2 for e1 in ku for e2 in kv]) for ku, kv in (factors[j] for j in batch)]
     columns = relative_columns(letters, c)
     values = [0] * len(pairs)
     for j, value in zip(batch, eliminate(columns, products)):
@@ -270,14 +271,21 @@ class FlagManifold:
                 raise LengthMismatch(f"l(w)={w.length} but l(u)+l(v)={u.length + v.length}")
             bound = max(bound, w.length + max(u.length, v.length))
         dim = climb(self.c, self.parabolic.weight(self.c), limit=bound)[1]
-        batches: dict[WeylElement, list] = {}
+        # The orientation depends on (l(u), l(v)) alone, and the batches
+        # are keyed on the target's canonical form, so a triple costs no
+        # choose_orientation or WeylElement.__hash__ call of its own.
+        orientation = cache(lambda u_length, v_length: choose_orientation(u_length, v_length, dim)[0])
+        batches: dict[tuple[int, ...], tuple[WeylElement, list]] = {}
         for j, (u, v, w) in enumerate(triples):
-            chosen = choose_orientation(u.length, v.length, dim)[0]
+            chosen = orientation(u.length, v.length)
             x, y = (u, v) if chosen == "dual_u" else (v, u)
             target, pair = (w, (u, v)) if chosen == "direct" else (self.dual(x), (y, self.dual(w)))
-            batches.setdefault(target, []).append((j, pair))
+            batch = batches.get(target.rho_image)
+            if batch is None:
+                batch = batches[target.rho_image] = (target, [])
+            batch[1].append((j, pair))
         values = [0] * len(triples)
-        for target, batch in batches.items():
+        for target, batch in batches.values():
             constants = _constants_of_letters(self.word(target), [pair for _, pair in batch], self.c)
             for (j, _), value in zip(batch, constants):
                 values[j] = value

@@ -13,7 +13,11 @@ below: enumeration, length bookkeeping, descent tests and reduced-word
 extraction, all float-free.  Enumeration of the minimal coset
 representatives of W/W' applies it to the weight lambda_P stabilised by
 W' in place of rho: the representatives are in bijection with the orbit
-of lambda_P, and the whole group is the case W' = 1.
+of lambda_P, and the whole group is the case W' = 1.  The walk builds
+each representative once, from its canonical parent (peel the smallest
+left descent, as reduced_word does), on weights packed into one int of
+16-bit lanes, so a step is one row subtraction and the parent test one
+AND (see coset_levels).
 
 Convention for words: (i_1,...,i_k) spells the composite map
 s_{i_1} . s_{i_2} ... s_{i_k} with the rightmost factor applied first.
@@ -22,7 +26,8 @@ Letters are 1-based simple-root indices.
 
 from __future__ import annotations
 
-from operator import attrgetter
+import struct
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import GroupTooLarge
@@ -258,6 +263,21 @@ def is_minimal_rep(e: WeylElement, p: ParabolicSubset, c: CartanMatrix) -> bool:
     return all(image[i - 1] > 0 for i in p.indices)
 
 
+# coset_levels packs a weight into one int: coordinate j (1-based) sits in
+# lane n - j of _LANE bits, coordinate 1 in the top lane, biased by _SIGN.
+# A lane's top bit is then set exactly when its coordinate is >= 0, int
+# order is tuple order, and adding a multiple of a packed Cartan row
+# carries into no other lane while every coordinate stays in range.  It
+# does: each coordinate of x(lambda_P) or x(rho) is <lambda_P, b> or
+# <rho, b> for a coroot b = x^-1(a_i^v), so its size is at most the
+# height of the highest coroot, h - 1, with h the largest Coxeter number
+# of a component (n + 1, 2n or 2n - 2 on the classical types of rank n, at
+# most 30 on the exceptional ones).  So |coordinate| <= 2 * MAX_RANK - 1 =
+# 999 < 2**15, and the lane width is fixed.
+_LANE = 16
+_SIGN = 1 << _LANE - 1
+
+
 def coset_levels(
     c: CartanMatrix, p, max_order: int = DEFAULT_MAX_GROUP_ORDER
 ) -> Iterator[tuple[WeylElement, ...]]:
@@ -270,36 +290,71 @@ def coset_levels(
     GroupTooLarge as soon as the levels built so far hold more than
     max_order representatives.
 
-    The walk is breadth-first on the orbit of lambda_P, the sum of the
-    fundamental weights outside p (coordinate i is 0 for i in p, else 1).
-    W' is its stabiliser, so x -> x(lambda_P) is a bijection from the
-    representatives onto the orbit, and coordinate i of x(lambda_P),
-    the pairing of lambda_P with x^-1(a_i), is positive exactly when
-    s_i * x is a longer representative (0: same coset, negative:
-    shorter).  Peeling a left descent keeps a representative minimal,
-    so these up-steps from lambda_P reach every representative, and each
-    lengthens by exactly one: the next level is the up-steps of this one,
-    and only the level being built is held to find repeats.
+    The walk is on the orbit of lambda_P, the sum of the fundamental
+    weights outside p (coordinate i is 0 for i in p, else 1).  W' is its
+    stabiliser, so x -> x(lambda_P) is a bijection from the
+    representatives onto the orbit, and coordinate i of x(lambda_P), the
+    pairing of lambda_P with x^-1(a_i), is positive exactly when s_i * x
+    is a representative one longer (0: same coset, negative: shorter).
+    Peeling a left descent keeps a representative minimal (Deodhar's
+    lemma), so each x != 1 has one canonical parent, s_d * x for its
+    smallest left descent d: the first negative coordinate of
+    x(lambda_P), the letter reduced_word peels first.  Level l + 1 is
+    therefore built from level l by the up-steps s_i * y whose
+    coordinates 1..i-1 are all >= 0, and each representative is built
+    exactly once, with no repeat to find.
+
+    If f is the smallest descent of y, an up-step i < f always passes
+    (s_i lowers no coordinate but i), and one i > f can pass only when
+    row i reaches coordinate f, so only those are tested.  The weights
+    are packed ints (see _LANE): a step is one subtraction of a multiple
+    of a packed row, the test one AND against the sign bits of the lanes
+    of coordinates 1..i-1, each level sorts ints, and each
+    representative's canonical form is unpacked once, when it is built.
     """
     p = ParabolicSubset.of(p)
     p.validate(c)
-    level = {p.weight(c): identity(c)}
-    walked = 1
+    n = c.n
+    shifts = range(_LANE * (n - 1), -1, -_LANE)
+    signs = sum(_SIGN << s for s in shifts)
+    # Flipping each lane's top bit turns coordinate + _SIGN into the
+    # coordinate's 16-bit two's complement, which unpack reads.
+    unpack = struct.Struct(f">{n}h").unpack
+    size = 2 * n
+
+    def pack(v) -> int:
+        return signs + sum(a << s for a, s in zip(v, shifts))
+
+    rows = [0, *(sum(a << shifts[j] for j, a in row) for row in c.sparse_rows)]
+    above = [0, *(signs >> s << s for s in range(_LANE * n, 0, -_LANE))]
+    # The up-steps to try from a representative with smallest descent f:
+    # 1..f-1, then the neighbours of f past it; n + 1 stands for the
+    # identity, which has no descent.
+    steps = [
+        (),
+        *(tuple(range(1, f)) + tuple(j + 1 for j, _ in row if j >= f) for f, row in enumerate(c.sparse_rows, 1)),
+        tuple(range(1, n + 1)),
+    ]
+    # With p empty, lambda_P is rho and one packed weight serves both.
+    whole = not p.indices
+    start = identity(c)
+    # An entry: packed x(rho), x, packed x(lambda_P), x's smallest descent.
+    level = [(pack(start.rho_image), start, pack(p.weight(c)), n + 1)]
+    walked, length = 1, 0
     while level:
-        yield tuple(sorted(level.values(), key=attrgetter("rho_image")))
-        fresh: dict[tuple[int, ...], WeylElement] = {}
-        for image, cur in level.items():
-            for i, vi in enumerate(image, 1):
-                if vi > 0:
-                    nxt = apply_simple_reflection(i, image, c)
-                    if nxt not in fresh:
-                        # With p empty, lambda_P is rho: nxt is already the
-                        # canonical form of s_i * cur, and one tuple serves
-                        # as key and element.
-                        fresh[nxt] = (
-                            left_multiply(i, cur, c) if p.indices
-                            else WeylElement(nxt, cur.length + 1)
-                        )
+        level.sort(key=itemgetter(0))
+        yield tuple([entry[1] for entry in level])
+        length += 1
+        fresh = []
+        for rho_code, y, code, f in level:
+            rho = y.rho_image
+            lam = rho if whole else unpack((code ^ signs).to_bytes(size, "big"))
+            for i in steps[f]:
+                if (vi := lam[i - 1]) > 0:
+                    x = code - vi * rows[i]
+                    if x & above[i] == above[i]:
+                        x_rho = x if whole else rho_code - rho[i - 1] * rows[i]
+                        fresh.append((x_rho, WeylElement(unpack((x_rho ^ signs).to_bytes(size, "big")), length), x, i))
                         walked += 1
                         if walked > max_order:
                             raise GroupTooLarge(f"representative set exceeds max_order={max_order}")

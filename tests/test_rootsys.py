@@ -20,6 +20,7 @@ from schuprod.rootsys import (
     cartan_pair,
     reflect_root,
     simple_root,
+    symmetrizer,
 )
 
 RANK_LE_4_TYPES = [
@@ -54,6 +55,24 @@ def test_singular_symmetrization_rejected():
 def test_affine_loop_rejected():
     with pytest.raises(NotFiniteType):
         validate_cartan([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+
+
+@pytest.mark.parametrize("rows", [
+    *(cartan_matrix_by_name(name).entries for name in ("A3", "B4", "C4", "D5", "E8", "F4", "G2")),
+    # C2 + G2 + A1, with the components interleaved.
+    [[2, 0, -2, 0, 0], [0, 2, 0, -1, 0], [-1, 0, 2, 0, 0], [0, -3, 0, 2, 0], [0, 0, 0, 0, 2]],
+], ids=["A3", "B4", "C4", "D5", "E8", "F4", "G2", "C2+G2+A1"])
+def test_symmetrizer_is_positive_integers(rows):
+    d = symmetrizer(rows)
+    assert all(type(x) is int and x > 0 for x in d)
+    n = len(rows)
+    assert all(d[i] * rows[i][j] == d[j] * rows[j][i] for i in range(n) for j in range(n))
+
+
+def test_unsymmetrizable_cycle_rejected():
+    # Around the cycle 1-2-3 the ratios multiply to 2, not 1.
+    with pytest.raises(NotFiniteType, match="not symmetrizable"):
+        symmetrizer([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Test oracles, the selftest and the dataclasses machinery: no job runs them.
-UNUSED_BY_JOBS = {"dataclasses", "inspect", "schuprod.oracles", "schuprod.selftest"}
+# Test oracles, the selftest, the dataclasses machinery and exact fractions
+# (the symmetrizer is in integers): no job runs them.
+UNUSED_BY_JOBS = {"dataclasses", "inspect", "schuprod.oracles", "schuprod.selftest", "fractions", "decimal"}
 
 SHOW_MODULES = "import sys; print(__import__('json').dumps(sorted(sys.modules)))"
 

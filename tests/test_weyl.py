@@ -28,7 +28,7 @@ from schuprod.weyl import (
     poincare_dual,
 )
 from schuprod.oracles import inverse, inversion_count, root_image
-from schuprod.rootsys import CartanMatrix, validate_cartan
+from schuprod.rootsys import MAX_RANK, CartanMatrix, validate_cartan
 
 RANK_LE_4_TYPES = [
     "A1", "A2", "A3", "A4",
@@ -318,6 +318,76 @@ def test_e6_counts():
     reps = minimal_coset_reps(c, (2, 3, 4, 5, 6))
     assert len(reps) == 27
     assert max(e.length for e in reps) == 16
+
+
+def _dedupe_walk(c, p, depth=None):
+    """The walk's reference: breadth-first up-steps from lambda_P over
+    apply_simple_reflection, a dict of the level being built dropping the
+    repeats; the rho image follows each new weight by the same letter.
+    Returns the levels' sorted rho images and the largest |coordinate| of
+    any weight or image reached."""
+    level = {tuple(0 if i in p else 1 for i in range(1, c.n + 1)): (1,) * c.n}
+    levels, largest = [], 1
+    while level and (depth is None or len(levels) <= depth):
+        levels.append(sorted(level.values()))
+        fresh = {}
+        for weight, image in level.items():
+            for i, a in enumerate(weight, 1):
+                if a > 0 and (up := apply_simple_reflection(i, weight, c)) not in fresh:
+                    fresh[up] = apply_simple_reflection(i, image, c)
+                    largest = max(largest, *map(abs, up), *map(abs, fresh[up]))
+        level = fresh
+    return levels, largest
+
+
+def _coxeter_number(name):
+    family, rank = name[0], int(name[1:])
+    classical = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2}
+    return classical.get(family) or {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}[name]
+
+
+def _walk_cases():
+    names = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "B5", "C3", "C4", "D4", "D5", "D6", "E6", "F4", "G2"]
+    for name in names:
+        n = int(name[1:])
+        # The flag, W' = <s_1> on small ranks, and the two maximal parabolics
+        # at the ends of the diagram (a Grassmannian and a partial flag).
+        subsets = {(), tuple(range(2, n + 1)), tuple(range(1, n))}
+        if n <= 5:
+            subsets.add((1,))
+        for p in sorted(subsets, key=lambda p: (len(p), p)):
+            yield name, p, None
+    yield "E7", tuple(range(1, 7)), None
+    yield "E7", (7,), 10
+    yield "E8", tuple(range(1, 8)), None
+    yield "A500", tuple(range(2, 501)), None
+    yield "C500", tuple(range(2, 501)), None
+
+
+def _walk_case_id(case):
+    name, p, depth = case
+    subset = "flag" if not p else f"P{p[0]}-{p[-1]}" if len(p) > 2 else "P" + ",".join(map(str, p))
+    return f"{name}-{subset}" + (f"-levels0to{depth}" if depth is not None else "")
+
+
+@pytest.mark.parametrize(
+    "name,p,depth", list(_walk_cases()), ids=[_walk_case_id(case) for case in _walk_cases()]
+)
+def test_coset_levels_match_a_dedupe_walk(name, p, depth):
+    # The canonical-parent walk on packed weights must give, level by
+    # level, the elements and the order of a plain dedupe walk.
+    c = cartan_matrix_by_name(name)
+    expected, largest = _dedupe_walk(c, p, depth)
+    walked = []
+    for d, level in enumerate(weyl.coset_levels(c, p)):
+        assert all(e.length == d for e in level)
+        walked.append([e.rho_image for e in level])
+        if d == depth:
+            break
+    assert walked == expected
+    # Every coordinate fits a packed lane, with room to spare.
+    assert largest <= _coxeter_number(name) - 1
+    assert 2 * MAX_RANK - 1 < 2**15
 
 
 @pytest.mark.parametrize(
