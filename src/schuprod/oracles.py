@@ -12,6 +12,10 @@ rows weakly increasing, columns strictly increasing, whose reverse
 reading word is a ballot sequence.  Nothing here touches the subword
 pipeline; that independence is the whole point of the module.
 
+The positive roots (positive_roots, in simple-root coordinates) and every
+reduced word of an element (all_reduced_words) are here too: the pipeline
+never lists them, only the oracles and the tests do.
+
 The dictionary between coset-minimal elements of the symmetric group
 and partitions in a box uses the one-line permutation recovered from
 the canonical form, with lambda_j = pi(k+1-j) - (k+1-j).
@@ -24,19 +28,117 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DegreeMismatch, NotGrassmannianPermutation, SizeMismatch
-from .rootsys import CartanMatrix, Root, positive_roots, reflect_root, symmetrizer
+from .frozen import Frozen
+from .rootsys import CartanMatrix, symmetrizer
 from .triop import _matrix_rows
 from .weyl import (
     ParabolicSubset,
     WeylElement,
+    Word,
     apply_simple_reflection,
     climb,
     element_of_word,
     is_minimal_rep,
+    left_multiply,
     reduced_word,
 )
 
 Partition = tuple[int, ...]
+
+
+class Root(Frozen):
+    """Root in simple-root coordinates; either all coords >= 0 or all <= 0."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        if not coords or all(x == 0 for x in coords):
+            raise ValueError("root must be nonzero")
+        if any(x > 0 for x in coords) and any(x < 0 for x in coords):
+            raise ValueError(f"mixed-sign coordinates are not a root: {coords}")
+        object.__setattr__(self, "coords", coords)
+
+    @property
+    def is_positive(self) -> bool:
+        return any(x > 0 for x in self.coords)
+
+
+def simple_root(i: int, n: int) -> Root:
+    """The i-th simple root (1-based) of a rank-n system."""
+    if not 1 <= i <= n:
+        raise IndexError(f"simple-root index {i} out of range 1..{n}")
+    return Root(tuple(1 if j == i - 1 else 0 for j in range(n)))
+
+
+def cartan_pair(b, i: int, c: CartanMatrix) -> int:
+    """Pairing of a root b with the i-th simple root (1-based).
+
+    Linear in b: the sum of coords[k] * entries[k][i] over k.
+    """
+    coords = b.coords if isinstance(b, Root) else tuple(b)
+    if not 1 <= i <= c.n:
+        raise IndexError(f"simple-root index {i} out of range 1..{c.n}")
+    if len(coords) != c.n:
+        raise ValueError(f"coordinate vector has length {len(coords)}, expected {c.n}")
+    return sum(coords[k] * c.entries[k][i - 1] for k in range(c.n))
+
+
+def reflect_root(i: int, coords, c: CartanMatrix) -> tuple[int, ...]:
+    """Simple reflection s_i acting on root coordinates."""
+    p = cartan_pair(coords, i, c)
+    out = list(coords)
+    out[i - 1] -= p
+    return tuple(out)
+
+
+def positive_roots(c: CartanMatrix) -> list[Root]:
+    """All positive roots, as closure of the simple roots under up-steps:
+    s_i on a root whose pairing p with simple root i is negative, which
+    adds -p to coordinate i; each non-simple root is one from a lower one.
+
+    Deterministic order: by height, then lexicographically on coordinates.
+    Finiteness is guaranteed by the finite-type validation.
+    """
+    columns = [[(k, row[i]) for k, row in enumerate(c.entries) if row[i]] for i in range(c.n)]
+    seen = {simple_root(i, c.n).coords for i in range(1, c.n + 1)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for coords in frontier:
+            for i, column in enumerate(columns):
+                p = sum(coords[k] * a for k, a in column)
+                if p < 0:
+                    image = coords[:i] + (coords[i] - p,) + coords[i + 1:]
+                    if image not in seen:
+                        seen.add(image)
+                        fresh.append(image)
+        frontier = fresh
+    return [Root(t) for t in sorted(seen, key=lambda t: (sum(t), t))]
+
+
+def descents(e: WeylElement) -> list[int]:
+    """Left descents: the i with l(s_i * e) < l(e), read off sign-wise."""
+    return [i + 1 for i, x in enumerate(e.rho_image) if x < 0]
+
+
+def all_reduced_words(e: WeylElement, c: CartanMatrix) -> list[Word]:
+    """Every reduced word of e, in lexicographic order."""
+    memo: dict[tuple[int, ...], list[Word]] = {}
+
+    def rec(cur: WeylElement) -> list[Word]:
+        if cur.is_identity:
+            return [()]
+        cached = memo.get(cur.rho_image)
+        if cached is None:
+            cached = [
+                (i,) + rest
+                for i in descents(cur)
+                for rest in rec(left_multiply(i, cur, c))
+            ]
+            memo[cur.rho_image] = cached
+        return cached
+
+    return rec(e)
 
 
 def _as_partition(p) -> Partition:

@@ -1,9 +1,9 @@
-"""Cartan matrices of finite type and their root systems.
+"""Cartan matrices of finite type.
 
-Everything here is exact integer arithmetic in simple-root coordinates.
-The pairing of a root b with a simple root is linear in b, so the Cartan
-matrix alone supplies every number the rest of the package needs; no
-inner product or Euclidean realization is ever materialized.
+Everything here is exact integer arithmetic.  The Cartan matrix alone
+supplies every number the rest of the package needs; no inner product or
+Euclidean realization is ever materialized.  The roots themselves, which
+only the oracles read, are in schuprod.oracles.
 
 All public indices (simple roots, word letters) are 1-based.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import NotCartan, NotFiniteType
@@ -55,30 +56,6 @@ class CartanMatrix(Frozen):
         return [list(row) for row in self.entries]
 
 
-class Root(Frozen):
-    """Root in simple-root coordinates; either all coords >= 0 or all <= 0."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[int, ...]):
-        if not coords or all(x == 0 for x in coords):
-            raise ValueError("root must be nonzero")
-        if any(x > 0 for x in coords) and any(x < 0 for x in coords):
-            raise ValueError(f"mixed-sign coordinates are not a root: {coords}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def is_positive(self) -> bool:
-        return any(x > 0 for x in self.coords)
-
-
-def simple_root(i: int, n: int) -> Root:
-    """The i-th simple root (1-based) of a rank-n system."""
-    if not 1 <= i <= n:
-        raise IndexError(f"simple-root index {i} out of range 1..{n}")
-    return Root(tuple(1 if j == i - 1 else 0 for j in range(n)))
-
-
 def validate_cartan(m) -> CartanMatrix:
     """Check a square integer matrix and return it as a CartanMatrix.
 
@@ -98,10 +75,14 @@ def validate_cartan(m) -> CartanMatrix:
         raise NotCartan(f"rank {n} exceeds the bound {MAX_RANK}")
     if any(len(row) != n for row in rows):
         raise NotCartan(f"matrix is not square: {rows}")
-    for row in rows:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise NotCartan(f"non-integer entry {x!r}")
+    # One pass over the entry types; only a matrix that is not all plain
+    # ints is walked entry by entry, to accept int subclasses other than
+    # bool and to name the first entry refused.
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        for row in rows:
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise NotCartan(f"non-integer entry {x!r}")
     for i in range(n):
         if rows[i][i] != 2:
             raise NotCartan(f"diagonal entry [{i + 1}][{i + 1}] = {rows[i][i]}, expected 2")
@@ -215,52 +196,6 @@ def _leading_minors(rows):
         right = {j: x * prev // since for j, x in row.items() if j > k}
         pivots.append((pivot, right, dict.fromkeys(right, 0)))
         prev = pivot
-
-
-def cartan_pair(b, i: int, c: CartanMatrix) -> int:
-    """Pairing of a root b with the i-th simple root (1-based).
-
-    Linear in b: the sum of coords[k] * entries[k][i] over k.
-    """
-    coords = b.coords if isinstance(b, Root) else tuple(b)
-    if not 1 <= i <= c.n:
-        raise IndexError(f"simple-root index {i} out of range 1..{c.n}")
-    if len(coords) != c.n:
-        raise ValueError(f"coordinate vector has length {len(coords)}, expected {c.n}")
-    return sum(coords[k] * c.entries[k][i - 1] for k in range(c.n))
-
-
-def reflect_root(i: int, coords, c: CartanMatrix) -> tuple[int, ...]:
-    """Simple reflection s_i acting on root coordinates."""
-    p = cartan_pair(coords, i, c)
-    out = list(coords)
-    out[i - 1] -= p
-    return tuple(out)
-
-
-def positive_roots(c: CartanMatrix) -> list[Root]:
-    """All positive roots, as closure of the simple roots under up-steps:
-    s_i on a root whose pairing p with simple root i is negative, which
-    adds -p to coordinate i; each non-simple root is one from a lower one.
-
-    Deterministic order: by height, then lexicographically on coordinates.
-    Finiteness is guaranteed by the finite-type validation.
-    """
-    columns = [[(k, row[i]) for k, row in enumerate(c.entries) if row[i]] for i in range(c.n)]
-    seen = {simple_root(i, c.n).coords for i in range(1, c.n + 1)}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for coords in frontier:
-            for i, column in enumerate(columns):
-                p = sum(coords[k] * a for k, a in column)
-                if p < 0:
-                    image = coords[:i] + (coords[i] - p,) + coords[i + 1:]
-                    if image not in seen:
-                        seen.add(image)
-                        fresh.append(image)
-        frontier = fresh
-    return [Root(t) for t in sorted(seen, key=lambda t: (sum(t), t))]
 
 
 # Built-in Cartan matrices, indexed as in the standard Dynkin diagrams.

@@ -140,11 +140,6 @@ def element_of_word(word, c: CartanMatrix) -> WeylElement:
     return e
 
 
-def descents(e: WeylElement) -> list[int]:
-    """Left descents: the i with l(s_i * e) < l(e), read off sign-wise."""
-    return [i + 1 for i, x in enumerate(e.rho_image) if x < 0]
-
-
 def reduced_word(e: WeylElement, c: CartanMatrix) -> Word:
     """Deterministic reduced word: peel the smallest descent until identity."""
     letters = []
@@ -156,26 +151,6 @@ def reduced_word(e: WeylElement, c: CartanMatrix) -> Word:
         letters.append(i)
         cur = left_multiply(i, cur, c)
     return tuple(letters)
-
-
-def all_reduced_words(e: WeylElement, c: CartanMatrix) -> list[Word]:
-    """Every reduced word of e, in lexicographic order."""
-    memo: dict[tuple[int, ...], list[Word]] = {}
-
-    def rec(cur: WeylElement) -> list[Word]:
-        if cur.is_identity:
-            return [()]
-        cached = memo.get(cur.rho_image)
-        if cached is None:
-            cached = [
-                (i,) + rest
-                for i in descents(cur)
-                for rest in rec(left_multiply(i, cur, c))
-            ]
-            memo[cur.rho_image] = cached
-        return cached
-
-    return rec(e)
 
 
 def multiply(a: WeylElement, b: WeylElement, c: CartanMatrix) -> WeylElement:

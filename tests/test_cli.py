@@ -419,7 +419,7 @@ def test_table_matches_per_triple_constants(capsys, name, parabolic, degrees):
     assert records == expected
     assert any(r["value"] for r in records)
     for (u, v, w), record in zip(triples, records):
-        w_word = max(weyl.all_reduced_words(w, c))
+        w_word = max(oracles.all_reduced_words(w, c))
         words = {key: weyl.format_word(record[key]) for key in ("u_word", "v_word")}
         code, out, _ = run_cli(
             capsys, "--type", name, "--parabolic", parabolic, "--u", words["u_word"],

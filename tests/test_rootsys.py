@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -12,16 +13,8 @@ from schuprod import (
     positive_roots,
     validate_cartan,
 )
-from schuprod.rootsys import (
-    MAX_RANK,
-    Root,
-    _builtin_rows,
-    _leading_minors,
-    cartan_pair,
-    reflect_root,
-    simple_root,
-    symmetrizer,
-)
+from schuprod.oracles import Root, cartan_pair, reflect_root, simple_root
+from schuprod.rootsys import MAX_RANK, _builtin_rows, _leading_minors, symmetrizer
 
 RANK_LE_4_TYPES = [
     "A1", "A2", "A3", "A4",
@@ -94,6 +87,31 @@ def test_malformed_matrices_rejected(rows):
 def test_non_integer_entries_rejected():
     with pytest.raises(NotCartan):
         validate_cartan([[2.0, -1.0], [-1.0, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ([[2, -1], [-1, True]], "True"),
+        ([[2, False], [0, 2]], "False"),
+        ([[2, -1], [-1.0, 2]], "-1.0"),
+        ([[2, "-1"], [-1, 2]], "'-1'"),
+        # The first refused entry in reading order is the one named.
+        ([[2, -1, 0], [-1, 2, 0.0], [None, "x", 2]], "0.0"),
+    ],
+)
+def test_each_refused_entry_is_named(rows, named):
+    with pytest.raises(NotCartan, match=rf"^non-integer entry {re.escape(named)}$"):
+        validate_cartan(rows)
+
+
+def test_int_subclass_entries_accepted():
+    class Small(int):
+        pass
+
+    c = validate_cartan([[Small(2), Small(-1)], [-1, 2]])
+    assert c.entries == ((2, -1), (-1, 2))
+    assert c == cartan_matrix_by_name("A2")
 
 
 def test_builtin_tables():

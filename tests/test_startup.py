@@ -1,4 +1,5 @@
-"""Start-up contract: a command-line job loads only the code it runs, and
+"""Start-up contract: importing the package, setting up a quotient and
+running a command-line job each load only the code they run, and a job
 builds only what the operator reads.
 
 Each check runs a fresh interpreter on the package sources, so that the
@@ -59,6 +60,45 @@ def test_a_job_loads_no_oracle_selftest_or_dataclasses(argv):
 def test_selftest_still_passes_in_a_fresh_process():
     out = _python("import sys, schuprod.cli; sys.exit(schuprod.cli.main(['--selftest']))")
     assert "PASS" in out and "FAIL" not in out
+
+
+# What a caller who only sets up a quotient never runs: the constants, the
+# operator, the relative matrix, the command line and the second routes.
+UNUSED_BY_SETUP = {f"schuprod.{name}" for name in ("schubert", "triop", "relmat", "cli", "oracles", "selftest")}
+
+SUBMODULES = sorted(path.stem for path in (SRC / "schuprod").glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("matrix, parabolic", [
+    ("[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]", "[2]"),
+    ("[[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]", "[1, 2, 3]"),
+], ids=["A3/P2", "F4/P4"])
+def test_a_set_up_loads_only_the_matrix_and_the_walk(matrix, parabolic):
+    setup = (
+        "import json, sys, schuprod\n"
+        "c = schuprod.validate_cartan(json.loads(sys.argv[1]))\n"
+        "assert schuprod.minimal_coset_reps(c, json.loads(sys.argv[2]))"
+    )
+    loaded = _loaded(setup, matrix, parabolic)
+    assert {"schuprod.rootsys", "schuprod.weyl"} <= loaded
+    assert loaded & UNUSED_BY_SETUP == set()
+
+
+def test_every_export_and_submodule_resolves_from_a_fresh_import():
+    code = (
+        "import json, sys, types, schuprod\n"
+        "names, submodules = schuprod.__all__, json.loads(sys.argv[1])\n"
+        "undirected = sorted({*names, *submodules} - set(dir(schuprod)))\n"
+        "unresolved = [n for n in names if getattr(schuprod, n, None) is None]\n"
+        "not_modules = [n for n in submodules if not isinstance(getattr(schuprod, n, None), types.ModuleType)]\n"
+        "star = {}\n"
+        "exec('from schuprod import *', star)\n"
+        "unbound = [n for n in names if star.get(n) is not getattr(schuprod, n)]\n"
+        "print(json.dumps([len(names), unresolved, not_modules, unbound, undirected]))"
+    )
+    # dir() is read first, before any name is bound.
+    count, *missing = json.loads(_python(code, json.dumps(SUBMODULES)))
+    assert count > 0 and missing == [[], [], [], []]
 
 
 def test_oracles_load_on_first_use_from_the_package():

@@ -18,7 +18,7 @@ from schuprod import (
     element_of_word,
 )
 from schuprod.cli import JobSpec
-from schuprod.rootsys import Root
+from schuprod.oracles import Root
 
 
 def _g2_constant():

@@ -17,7 +17,6 @@ from schuprod import (
 from schuprod.weyl import (
     WeylElement,
     apply_simple_reflection,
-    descents,
     element_to_dict,
     format_word,
     identity,
@@ -27,7 +26,7 @@ from schuprod.weyl import (
     parse_word,
     poincare_dual,
 )
-from schuprod.oracles import inverse, inversion_count, root_image
+from schuprod.oracles import descents, inverse, inversion_count, root_image
 from schuprod.rootsys import MAX_RANK, CartanMatrix, validate_cartan
 
 RANK_LE_4_TYPES = [
