@@ -59,7 +59,8 @@ def element_of_reduced_word(word, c: CartanMatrix) -> WeylElement:
 
 
 def _reduced_letters(word, c: CartanMatrix) -> tuple[int, ...]:
-    """The word's letters, checked to be reduced."""
+    """The word's letters, checked to be ints in range (element_of_word
+    refuses any other entry) that spell a reduced word."""
     letters = tuple(word)
     element_of_reduced_word(letters, c)
     return letters

@@ -215,9 +215,10 @@ class FlagManifold:
 
         The walk of W/W' goes on from the deepest level built so far to
         level d and no further; () for d < 0 or d > dim walks nothing.
-        Raises GroupTooLarge once the levels walked hold more than
-        max_order representatives, and again on every later call that
-        needs a level past them.
+        Raises GroupTooLarge, before building a level, when that level and
+        the levels walked before it would hold more than max_order
+        representatives, and again on every later call that needs that
+        level or a later one.
         """
         if not 0 <= d <= self.dim:
             return ()

@@ -13,11 +13,13 @@ below: enumeration, length bookkeeping, descent tests and reduced-word
 extraction, all float-free.  Enumeration of the minimal coset
 representatives of W/W' applies it to the weight lambda_P stabilised by
 W' in place of rho: the representatives are in bijection with the orbit
-of lambda_P, and the whole group is the case W' = 1.  The walk builds
-each representative once, from its canonical parent (peel the smallest
-left descent, as reduced_word does), on weights packed into one int of
-16-bit lanes, so a step is one row subtraction and the parent test one
-AND (see coset_levels).
+of lambda_P, and the whole group is the case W' = 1.  The walk splits
+W/W' at a maximal parabolic W_J into W/W_J times W_J/W', lengths adding.
+Each factor is walked once from canonical parents (peel the smallest left
+descent, as reduced_word does) on weights packed into one int of 16-bit
+lanes, so a step is one row subtraction and the parent test one AND; each
+level of the product is then a few reflections of big ints that pack a
+whole level of the second factor each (see coset_levels).
 
 Convention for words: (i_1,...,i_k) spells the composite map
 s_{i_1} . s_{i_2} ... s_{i_k} with the rightmost factor applied first.
@@ -26,8 +28,10 @@ Letters are 1-based simple-root indices.
 
 from __future__ import annotations
 
+import gc
 import struct
-from operator import itemgetter
+from itertools import chain, count, repeat
+from threading import Lock
 from typing import Iterable, Iterator
 
 from .errors import GroupTooLarge
@@ -84,7 +88,7 @@ class ParabolicSubset(Frozen):
         """From an iterable of distinct indices; a ParabolicSubset comes back as is."""
         if isinstance(indices, ParabolicSubset):
             return indices
-        idx = sorted(int(i) for i in indices)
+        idx = sorted(_integers(indices, "parabolic index"))
         if len(set(idx)) != len(idx):
             raise ValueError(f"parabolic indices must be distinct, got {format_word(idx)}")
         return cls(frozenset(idx))
@@ -120,8 +124,21 @@ def left_multiply(i: int, e: WeylElement, c: CartanMatrix) -> WeylElement:
     return WeylElement(apply_simple_reflection(i, e.rho_image, c), e.length + step)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints.  Like validate_cartan, it takes int
+    and its subclasses but bool, and refuses anything else, a float or a
+    string too, naming the first entry refused."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        for x in values:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{what} {x!r} is not an integer")
+        values = tuple(map(int, values))
+    return values
+
+
 def _check_word(word, c: CartanMatrix) -> Word:
-    w = tuple(int(i) for i in word)
+    w = _integers(word, "word letter")
     bad = [i for i in w if not 1 <= i <= c.n]
     if bad:
         raise IndexError(f"word letters {bad} out of range 1..{c.n}")
@@ -241,16 +258,79 @@ def is_minimal_rep(e: WeylElement, p: ParabolicSubset, c: CartanMatrix) -> bool:
 # coset_levels packs a weight into one int: coordinate j (1-based) sits in
 # lane n - j of _LANE bits, coordinate 1 in the top lane, biased by _SIGN.
 # A lane's top bit is then set exactly when its coordinate is >= 0, int
-# order is tuple order, and adding a multiple of a packed Cartan row
-# carries into no other lane while every coordinate stays in range.  It
-# does: each coordinate of x(lambda_P) or x(rho) is <lambda_P, b> or
-# <rho, b> for a coroot b = x^-1(a_i^v), so its size is at most the
-# height of the highest coroot, h - 1, with h the largest Coxeter number
-# of a component (n + 1, 2n or 2n - 2 on the classical types of rank n, at
-# most 30 on the exceptional ones).  So |coordinate| <= 2 * MAX_RANK - 1 =
-# 999 < 2**15, and the lane width is fixed.
+# order is tuple order, and so is the order of the big-endian bytes, and
+# adding a multiple of a packed Cartan row carries into no other lane
+# while every coordinate stays in range.  It does: the walks pack x(lambda)
+# for weights lambda of 0s and 1s only (lambda_P, rho, a fundamental
+# weight), and each coordinate of x(lambda) is <lambda, b> for a coroot
+# b = x^-1(a_i^v), so its size is at most the height of the highest
+# coroot, h - 1, with h the largest Coxeter number of a component (n + 1,
+# 2n or 2n - 2 on the classical types of rank n, at most 30 on the
+# exceptional ones).  So |coordinate| <= 2 * MAX_RANK - 1 = 999 < 2**15,
+# and the lane width is fixed.  Images laid end to end, one block of n
+# lanes each, make one int, and by the same bound a reflection of every
+# block at once leaves each lane in range, so no block borrows from the
+# next.
 _LANE = 16
 _SIGN = 1 << _LANE - 1
+_building = Lock()
+
+
+def _packed_rows(c: CartanMatrix) -> tuple[range, list[int]]:
+    """The lane shift of each coordinate, and rows[i], row i of the Cartan
+    matrix packed (rows[0] is 0): s_i subtracts coordinate i times rows[i]."""
+    shifts = range(_LANE * (c.n - 1), -1, -_LANE)
+    return shifts, [0, *(sum(a << shifts[j] for j, a in row) for row in c.sparse_rows)]
+
+
+def _orbit_levels(c: CartanMatrix, weight, letters, max_order: int) -> Iterator[list[tuple[int, int, int]]]:
+    """The orbit of a weight of 0s and 1s under the reflections s_i, i in
+    letters, walked level by level from canonical parents (as coset_levels
+    explains, with the letters in place of 1..n).  Each level is a list of
+    (code, i, parent): code packs x(weight), i is the step letter, the
+    smallest descent of x among the letters (0 for the identity), and
+    parent is the index of s_i * x in the level before.  Raises
+    GroupTooLarge once more than max_order images are walked.
+
+    If f is the smallest descent of y, an up-step i < f always passes (s_i
+    lowers no coordinate but i), and one i > f can pass only when row i
+    reaches coordinate f, so only those are tested.  A step is one
+    subtraction of a multiple of a packed row, and the parent test one AND
+    against the sign bits of the letters below i."""
+    n = c.n
+    shifts, rows = _packed_rows(c)
+    signs = int.from_bytes(b"\x80\x00" * n, "big")
+    # Flipping each lane's top bit turns coordinate + _SIGN into the
+    # coordinate's 16-bit two's complement, which unpack reads.
+    unpack = struct.Struct(f">{n}h").unpack
+    allowed = set(letters)
+    # above[f]: the sign bits of the letters below f.  steps[f]: the letters
+    # below f, then f's neighbours past it; steps[0], the up-steps from the
+    # identity, which has no descent, is every letter.
+    above, steps, below, bits = [0], [()], (), 0
+    for f, row in enumerate(c.sparse_rows, 1):
+        above.append(bits)
+        steps.append(below + tuple(j + 1 for j, _ in row if j >= f and j + 1 in allowed))
+        if f in allowed:
+            below += (f,)
+            bits |= _SIGN << shifts[f - 1]
+    steps[0] = below
+    level = [(signs + sum(a << s for a, s in zip(weight, shifts)), 0, 0)]
+    walked = 1
+    while level:
+        yield level
+        fresh = []
+        for parent, (code, f, _) in enumerate(level):
+            image = unpack((code ^ signs).to_bytes(2 * n, "big"))
+            for i in steps[f]:
+                if (vi := image[i - 1]) > 0:
+                    x = code - vi * rows[i]
+                    if x & above[i] == above[i]:
+                        fresh.append((x, i, parent))
+                        walked += 1
+                        if walked > max_order:
+                            raise GroupTooLarge(f"representative set exceeds max_order={max_order}")
+        level = fresh
 
 
 def coset_levels(
@@ -262,78 +342,113 @@ def coset_levels(
 
     p is a ParabolicSubset or an iterable of 1-based indices; the empty
     set gives all of W, the full set just the identity.  Raises
-    GroupTooLarge as soon as the levels built so far hold more than
-    max_order representatives.
+    GroupTooLarge, before any of a level is built, once the levels so far
+    and that level would hold more than max_order representatives; each
+    factor walk below also stops once it alone passes max_order, which it
+    can only do when the product would.
 
-    The walk is on the orbit of lambda_P, the sum of the fundamental
-    weights outside p (coordinate i is 0 for i in p, else 1).  W' is its
-    stabiliser, so x -> x(lambda_P) is a bijection from the
-    representatives onto the orbit, and coordinate i of x(lambda_P), the
-    pairing of lambda_P with x^-1(a_i), is positive exactly when s_i * x
-    is a representative one longer (0: same coset, negative: shorter).
-    Peeling a left descent keeps a representative minimal (Deodhar's
-    lemma), so each x != 1 has one canonical parent, s_d * x for its
-    smallest left descent d: the first negative coordinate of
-    x(lambda_P), the letter reduced_word peels first.  Level l + 1 is
-    therefore built from level l by the up-steps s_i * y whose
-    coordinates 1..i-1 are all >= 0, and each representative is built
-    exactly once, with no repeat to find.
+    The representatives are listed by a walk on the orbit of lambda_P, the
+    sum of the fundamental weights outside p (coordinate i is 0 for i in
+    p, else 1).  W' is its stabiliser, so x -> x(lambda_P) is a bijection
+    from the representatives onto the orbit, and coordinate i of
+    x(lambda_P), the pairing of lambda_P with x^-1(a_i), is positive
+    exactly when s_i * x is a representative one longer (0: same coset,
+    negative: shorter).  Peeling a left descent keeps a representative
+    minimal (Deodhar's lemma), so each x != 1 has one canonical parent,
+    s_d * x for its smallest left descent d: the first negative coordinate
+    of x(lambda_P), the letter reduced_word peels first.  Level l + 1 is
+    therefore built from level l by the up-steps s_i * y whose coordinates
+    1..i-1 are all >= 0, and each representative is built exactly once,
+    with no repeat to find (_orbit_levels).
 
-    If f is the smallest descent of y, an up-step i < f always passes
-    (s_i lowers no coordinate but i), and one i > f can pass only when
-    row i reaches coordinate f, so only those are tested.  The weights
-    are packed ints (see _LANE): a step is one subtraction of a multiple
-    of a packed row, the test one AND against the sign bits of the lanes
-    of coordinates 1..i-1, each level sorts ints, and each
-    representative's canonical form is unpacked once, when it is built.
+    That walk takes its steps one at a time, so it walks two small
+    factors only.  With k the largest index outside p and J the others,
+    each representative is u * v, lengths adding, for exactly one minimal
+    representative u of W/W_J (the orbit of the fundamental weight of k)
+    and one v of W_J/W' (the W_J-orbit of lambda_P): Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, Prop. 2.4.4.  Level l is made of the
+    pairs of lengths (a, l - a).  The packed rho-images of the v of one
+    length are one int, a block of lanes each, so u(v(rho)) for all of them
+    is one reflection of that int for u's parent: u = s_d * parent, and
+    s_d subtracts rows[d] times lane d from every block.  The level's
+    blocks are sorted as bytes, which is the canonical order, and each
+    representative is built once, from its unpacked image.  For p maximal
+    W_J is W' and the second factor is the identity alone.
     """
     p = ParabolicSubset.of(p)
     p.validate(c)
     n = c.n
-    shifts = range(_LANE * (n - 1), -1, -_LANE)
-    signs = sum(_SIGN << s for s in shifts)
-    # Flipping each lane's top bit turns coordinate + _SIGN into the
-    # coordinate's 16-bit two's complement, which unpack reads.
-    unpack = struct.Struct(f">{n}h").unpack
     size = 2 * n
+    shifts, rows = _packed_rows(c)
+    k = max((i for i in range(1, n + 1) if i not in p.indices), default=0)
+    lefts = _orbit_levels(c, [int(i == k) for i in range(1, n + 1)], range(1, n + 1), max_order)
+    rights = _orbit_levels(c, p.weight(c), [i for i in range(1, n + 1) if i != k], max_order)
+    # left[a]: (lane shift of d, rows[d], parent) for each u of length a.
+    # right[b]: (the packed rho-images of the v of length b as one int,
+    # their number, lane n of each block as a mask, _SIGN in lane n of each
+    # block).  images[a]: one int per u of length a, packing u(v(rho)) for
+    # the v that level `length` pairs it with.
+    left, right, images, walked = [], [], {}, 0
+    rhos = [int.from_bytes(b"\x80\x01" * n, "big")]
+    pad = bytes(size - 2)
+    for length in count():
+        # The walk allocates no cycles, so the collector only costs here.
+        # Its switch is process-wide: one lock keeps two walks in two threads
+        # from restoring each other's setting out of order, and costs no
+        # parallelism, since a build holds the interpreter throughout.
+        with _building:
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                if (us := next(lefts, None)) is not None:
+                    left.append([(shifts[d - 1], rows[d], parent) for _, d, parent in us])
+                if (vs := next(rights, None)) is not None:
+                    rhos = [_reflect(rhos[parent], shifts[d - 1], rows[d], 0xFFFF, _SIGN) for _, d, parent in vs]
+                    right.append((
+                        int.from_bytes(b"".join([rho.to_bytes(size, "big") for rho in rhos]), "big"),
+                        len(rhos),
+                        int.from_bytes((pad + b"\xff\xff") * len(rhos), "big"),
+                        int.from_bytes((pad + b"\x80\x00") * len(rhos), "big"),
+                    ))
+                pairs = range(max(0, length + 1 - len(right)), min(length + 1, len(left)))
+                if not pairs:
+                    return
+                walked += sum(len(left[a]) * right[length - a][1] for a in pairs)
+                if walked > max_order:
+                    raise GroupTooLarge(f"representative set exceeds max_order={max_order}")
+                fresh = {}
+                for a in pairs:
+                    z, _, mask, bias = right[length - a]
+                    if a:
+                        prev = images[a - 1]
+                        fresh[a] = [_reflect(prev[parent], shift, row, mask, bias) for shift, row, parent in left[a]]
+                    else:
+                        fresh[a] = [z]
+                images = fresh
+                data = b"".join([z.to_bytes(right[length - a][1] * size, "big") for a, zs in images.items() for z in zs])
+                level = _sorted_elements(data, n, length)
+            finally:
+                if collecting:
+                    gc.enable()
+        yield level
 
-    def pack(v) -> int:
-        return signs + sum(a << s for a, s in zip(v, shifts))
 
-    rows = [0, *(sum(a << shifts[j] for j, a in row) for row in c.sparse_rows)]
-    above = [0, *(signs >> s << s for s in range(_LANE * n, 0, -_LANE))]
-    # The up-steps to try from a representative with smallest descent f:
-    # 1..f-1, then the neighbours of f past it; n + 1 stands for the
-    # identity, which has no descent.
-    steps = [
-        (),
-        *(tuple(range(1, f)) + tuple(j + 1 for j, _ in row if j >= f) for f, row in enumerate(c.sparse_rows, 1)),
-        tuple(range(1, n + 1)),
-    ]
-    # With p empty, lambda_P is rho and one packed weight serves both.
-    whole = not p.indices
-    start = identity(c)
-    # An entry: packed x(rho), x, packed x(lambda_P), x's smallest descent.
-    level = [(pack(start.rho_image), start, pack(p.weight(c)), n + 1)]
-    walked, length = 1, 0
-    while level:
-        level.sort(key=itemgetter(0))
-        yield tuple([entry[1] for entry in level])
-        length += 1
-        fresh = []
-        for rho_code, y, code, f in level:
-            rho = y.rho_image
-            lam = rho if whole else unpack((code ^ signs).to_bytes(size, "big"))
-            for i in steps[f]:
-                if (vi := lam[i - 1]) > 0:
-                    x = code - vi * rows[i]
-                    if x & above[i] == above[i]:
-                        x_rho = x if whole else rho_code - rho[i - 1] * rows[i]
-                        fresh.append((x_rho, WeylElement(unpack((x_rho ^ signs).to_bytes(size, "big")), length), x, i))
-                        walked += 1
-                        if walked > max_order:
-                            raise GroupTooLarge(f"representative set exceeds max_order={max_order}")
-        level = fresh
+def _sorted_elements(data: bytes, n: int, length: int) -> tuple[WeylElement, ...]:
+    """The elements of the given length whose packed rho-images are the
+    2n-byte blocks of data, in canonical order: the blocks sorted as bytes,
+    then unbiased all at once and unpacked."""
+    size = 2 * n
+    blocks = sorted([data[i : i + size] for i in range(0, len(data), size)])
+    signed = int.from_bytes(b"".join(blocks), "big") ^ int.from_bytes(b"\x80\x00" * (n * len(blocks)), "big")
+    images = struct.iter_unpack(f">{n}h", signed.to_bytes(len(data), "big"))
+    return tuple(map(WeylElement, images, repeat(length)))
+
+
+def _reflect(z: int, shift: int, row: int, mask: int, bias: int) -> int:
+    """s_d on every block of z at once, for the shift and packed row of d,
+    the mask of lane n in each block and _SIGN there: lane d of each block,
+    unbiased, times the row, subtracted."""
+    return z - ((z >> shift & mask) - bias) * row
 
 
 def minimal_coset_reps(
@@ -341,7 +456,7 @@ def minimal_coset_reps(
 ) -> list[WeylElement]:
     """Every minimal coset representative of W/W', by length, then
     lexicographically on the canonical form: coset_levels run to the end."""
-    return [e for level in coset_levels(c, p, max_order) for e in level]
+    return list(chain.from_iterable(coset_levels(c, p, max_order)))
 
 
 def parse_word(text: str) -> Word:

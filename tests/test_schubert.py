@@ -432,6 +432,13 @@ def test_constants_for_word_checks_reducedness_once(g2, monkeypatch):
     assert calls == [w_word]
 
 
+def test_constants_for_word_refuse_a_float_letter(g2):
+    # Read as ints, the letters would pass the word check and index the
+    # matrix rows with a float.
+    with pytest.raises(ValueError, match="^word letter 1.0 is not an integer$"):
+        structure_constants_for_word((1.0, 2), [], g2)
+
+
 def test_negative_value_raises(g2, g2_data, monkeypatch):
     monkeypatch.setattr(schubert, "eliminate", lambda rows, polys: [-1] * len(polys))
     with pytest.raises(NegativeConstant, match="-1"):

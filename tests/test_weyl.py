@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import time
 
 import pytest
 
@@ -198,9 +200,9 @@ def test_group_too_large(name, enumerate_):
 
 
 @pytest.mark.parametrize("p", [(), (1,)], ids=["A30-flag", "A30-P1"])
-def test_group_bound_is_checked_per_representative(monkeypatch, p):
-    # Level 3 of the A30 flag alone has 4,930 elements: checked only after
-    # each level, the walk held 5,424 representatives before refusing.
+def test_group_bound_refuses_a_level_before_building_it(monkeypatch, p):
+    # Level 3 of the A30 flag alone has 4,930 elements: the walk refuses it
+    # from the sizes of its factors, before any of its elements is built.
     made = []
 
     class Counting(WeylElement):
@@ -208,10 +210,30 @@ def test_group_bound_is_checked_per_representative(monkeypatch, p):
             made.append(rho_image)
             super().__init__(rho_image, length)
 
+    c = cartan_matrix_by_name("A30")
     monkeypatch.setattr(weyl, "WeylElement", Counting)
     with pytest.raises(GroupTooLarge):
-        minimal_coset_reps(cartan_matrix_by_name("A30"), p, max_order=1000)
-    assert 1000 < len(made) <= 1001
+        minimal_coset_reps(c, p, max_order=1000)
+    assert len(made) <= 1000
+    # The bound is exact: levels 0-3 fit in their own count, and one less
+    # refuses level 3.
+    levels = list(itertools.islice(weyl.coset_levels(c, p), 4))
+    bound = sum(map(len, levels))
+    assert list(itertools.islice(weyl.coset_levels(c, p, max_order=bound), 4)) == levels
+    walk = weyl.coset_levels(c, p, max_order=bound - 1)
+    assert [next(walk) for _ in range(3)] == levels[:3]
+    with pytest.raises(GroupTooLarge):
+        next(walk)
+
+
+def test_a_huge_group_is_refused_within_a_second():
+    # Level 2 of the A500 flag has 125,249 elements; the walk of its
+    # factor W(A499) stops at the bound.
+    c = cartan_matrix_by_name("A500")
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLarge):
+        minimal_coset_reps(c, (), max_order=10**4)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("name,max_len", [("B2", 4), ("G2", 4), ("A3", 3)])
@@ -268,6 +290,28 @@ def test_parabolic_subset_refuses_repeated_indices(a3):
         ParabolicSubset.of((3, 1, 1))
     with pytest.raises(ValueError, match="distinct"):
         minimal_coset_reps(a3, (2, 2))
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, "2", True], ids=["float", "whole-float", "string", "bool"])
+def test_indices_and_letters_must_be_ints(a3, bad):
+    # No silent coercion: int() would read 1.7 as 1 and "2" as 2.
+    from schuprod.weyl import ParabolicSubset
+
+    refused = re.escape(f"{bad!r} is not an integer")
+    with pytest.raises(ValueError, match=f"^parabolic index {refused}$"):
+        ParabolicSubset.of([3, bad, 2.5])
+    with pytest.raises(ValueError, match=f"^word letter {refused}$"):
+        element_of_word([bad, 2], a3)
+
+
+def test_int_subclasses_pass_as_their_ints(a3):
+    from schuprod.weyl import ParabolicSubset
+
+    class Letter(int):
+        pass
+
+    assert ParabolicSubset.of([Letter(2)]) == ParabolicSubset.of([2])
+    assert element_of_word([Letter(1), Letter(2)], a3) == element_of_word([1, 2], a3)
 
 
 def test_minimal_coset_reps_trivial_cases(a3):
@@ -346,6 +390,8 @@ def _coxeter_number(name):
 
 
 def _walk_cases():
+    """(name, p, depth, last): the walk of W/W' on the named matrix, with
+    node last moved to index n if last is given, up to level depth."""
     names = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "B5", "C3", "C4", "D4", "D5", "D6", "E6", "F4", "G2"]
     for name in names:
         n = int(name[1:])
@@ -355,27 +401,45 @@ def _walk_cases():
         if n <= 5:
             subsets.add((1,))
         for p in sorted(subsets, key=lambda p: (len(p), p)):
-            yield name, p, None
-    yield "E7", tuple(range(1, 7)), None
-    yield "E7", (7,), 10
-    yield "E8", tuple(range(1, 8)), None
-    yield "A500", tuple(range(2, 501)), None
-    yield "C500", tuple(range(2, 501)), None
+            yield name, p, None, None
+    yield "E7", tuple(range(1, 7)), None, None
+    yield "E7", (7,), 10, None
+    yield "E8", tuple(range(1, 8)), None, None
+    yield "A500", tuple(range(2, 501)), None, None
+    yield "C500", tuple(range(2, 501)), None, None
+    # The walk splits W/W' at the largest index k outside W'.  On the flag
+    # that is index n, so each relabelling below splits at another node;
+    # the standard labelling above covers node n.
+    for name, n in (("E6", 6), ("D4", 4)):
+        for last in range(1, n):
+            yield name, (), None, last
+    yield "E6", (1,), None, None
+    yield "A7", (2, 5), None, None
+    yield "B4", (2, 4), None, None
+    yield "E7", (), 8, None
+    yield "E8", (), 6, None
 
 
 def _walk_case_id(case):
-    name, p, depth = case
+    name, p, depth, last = case
     subset = "flag" if not p else f"P{p[0]}-{p[-1]}" if len(p) > 2 else "P" + ",".join(map(str, p))
-    return f"{name}-{subset}" + (f"-levels0to{depth}" if depth is not None else "")
+    return (
+        f"{name}-{subset}"
+        + (f"-levels0to{depth}" if depth is not None else "")
+        + (f"-node{last}last" if last is not None else "")
+    )
 
 
 @pytest.mark.parametrize(
-    "name,p,depth", list(_walk_cases()), ids=[_walk_case_id(case) for case in _walk_cases()]
+    "name,p,depth,last", list(_walk_cases()), ids=[_walk_case_id(case) for case in _walk_cases()]
 )
-def test_coset_levels_match_a_dedupe_walk(name, p, depth):
-    # The canonical-parent walk on packed weights must give, level by
-    # level, the elements and the order of a plain dedupe walk.
+def test_coset_levels_match_a_dedupe_walk(name, p, depth, last):
+    # The product walk on packed weights must give, level by level, the
+    # elements and the order of a plain dedupe walk.
     c = cartan_matrix_by_name(name)
+    if last is not None:
+        order = [i for i in range(c.n) if i != last - 1] + [last - 1]
+        c = validate_cartan([[c.entries[a][b] for b in order] for a in order])
     expected, largest = _dedupe_walk(c, p, depth)
     walked = []
     for d, level in enumerate(weyl.coset_levels(c, p)):
