@@ -201,7 +201,7 @@ def test_group_too_large(name, enumerate_):
 
 @pytest.mark.parametrize("p", [(), (1,)], ids=["A30-flag", "A30-P1"])
 def test_group_bound_refuses_a_level_before_building_it(monkeypatch, p):
-    # Level 3 of the A30 flag alone has 4,930 elements: the walk refuses it
+    # Level 3 of the A30 flag alone has 4,929 elements: the walk refuses it
     # from the sizes of its factors, before any of its elements is built.
     made = []
 
