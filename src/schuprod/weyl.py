@@ -438,7 +438,7 @@ def _sorted_elements(data: bytes, n: int, length: int) -> tuple[WeylElement, ...
     2n-byte blocks of data, in canonical order: the blocks sorted as bytes,
     then unbiased all at once and unpacked."""
     size = 2 * n
-    blocks = sorted([data[i : i + size] for i in range(0, len(data), size)])
+    blocks = sorted([block for (block,) in struct.iter_unpack(f"{size}s", data)])
     signed = int.from_bytes(b"".join(blocks), "big") ^ int.from_bytes(b"\x80\x00" * (n * len(blocks)), "big")
     images = struct.iter_unpack(f">{n}h", signed.to_bytes(len(data), "big"))
     return tuple(map(WeylElement, images, repeat(length)))
