@@ -294,16 +294,16 @@ def run(spec: JobSpec) -> dict:
         u, v = element_of_reduced_word(spec.u_word, c), element_of_reduced_word(spec.v_word, c)
         d1, d2 = u.length, v.length
         space.check_reps(u=u, v=v)
-        pairs = [(u, v)]
+        pair = (u, v)
         report["u"] = weyl.element_to_dict(u, c)
         report["v"] = weyl.element_to_dict(v, c)
     else:
         d1, d2 = spec.table_degrees
         if d1 < 0 or d2 < 0:
             raise ValueError("degree levels must be non-negative")
-        pairs = [(x, y) for x in space.level(d1) for y in space.level(d2)]
+        pair = None
         report["degrees"] = [d1, d2]
-    report["records"] = _expansion_records(space, pairs, spec.include_zeros)
+    report["records"] = _expansion_records(space, spec, pair)
     report["evaluation"] = space.evaluation(d1, d2)
     return report
 
@@ -321,13 +321,15 @@ def _working(letters, u, v, c) -> dict:
     return working
 
 
-def _expansion_records(space, pairs, include_zeros: bool) -> list[dict]:
-    """Records of every pair's expansion over the representatives of its
-    degree, pair by pair, each in canonical order."""
-    return [
-        _record(space.word(t.u), space.word(t.v), space.word(t.w), t.value)
-        for t in space.expand(pairs, include_zeros)
-    ]
+def _expansion_records(space, spec: JobSpec, pair) -> list[dict]:
+    """Records of the named pair's expansion (expand mode, FlagManifold.expand)
+    or, with pair None, of every product between the two degree levels
+    (table mode, FlagManifold.table): pair by pair, each in canonical order."""
+    if pair is not None:
+        terms = space.expand([pair], spec.include_zeros)
+    else:
+        terms = space.table(*spec.table_degrees, spec.include_zeros)
+    return [_record(space.word(t.u), space.word(t.v), space.word(t.w), t.value) for t in terms]
 
 
 # -- rendering -----------------------------------------------------------

@@ -19,6 +19,15 @@ needed, a group is dropped once it needs more letters than are left,
 and the sets that reach the full count are those under the identity's
 weight.
 
+A table needs, on each target word, only the factors its subwords
+spell, so FlagManifold.table turns the solver around: one walk over the
+word, right to left, grows every subword that spells a minimal coset
+representative at once (_subword_factors), and the states at the two
+factor lengths are the factors the word holds, with all their
+solutions.  Pairs whose factors do not both occur are never formed.
+Named pairs (expand, constants) keep the per-factor solver, which
+prunes by the named factor where the walk would list every subword.
+
 A position set is one int, the sum of 1 << width*(a-1) over its
 positions a.  With width = triop.key_width(k) that is the operator's key
 of the monomial x_L, so the product of two solutions is the sum of their
@@ -144,16 +153,81 @@ def _constants_of_letters(letters: tuple[int, ...], pairs, c: CartanMatrix) -> l
     keys = {image: _solutions(letters, x, c, width) for image, x in distinct.items()}
     factors = [(keys[u.rho_image], keys[v.rho_image]) for u, v in pairs]
     batch = [j for j, (ku, kv) in enumerate(factors) if ku and kv]
-    products = [Counter([e1 + e2 for e1 in ku for e2 in kv]) for ku, kv in (factors[j] for j in batch)]
-    columns = relative_columns(letters, c)
     values = [0] * len(pairs)
-    for j, value in zip(batch, eliminate(columns, products)):
+    for j, value in zip(batch, _eliminate_products(letters, [factors[j] for j in batch], c)):
+        values[j] = value
+    return values
+
+
+def _eliminate_products(letters: tuple[int, ...], factors, c: CartanMatrix) -> list[int]:
+    """The operator of the reduced word's relative matrix on the product
+    of each (keys of u, keys of v) of factors, in one batched elimination."""
+    products = [Counter([e1 + e2 for e1 in ku for e2 in kv]) for ku, kv in factors]
+    values = eliminate(relative_columns(letters, c), products)
+    for value in values:
         # Intersection theory makes valid constants non-negative; a
         # negative value can only mean a bug upstream.
         if value < 0:
             raise NegativeConstant(f"negative structure constant {value} for word {letters}")
-        values[j] = value
     return values
+
+
+def _subword_factors(letters: tuple[int, ...], weight, lengths, c: CartanMatrix) -> list[dict]:
+    """Every minimal coset representative that a subword of the reduced
+    word spells, with all its solutions, for each length in lengths: one
+    dict per length from the rho-image of the factor to its solutions as
+    operator keys (key_width lanes, as _solutions builds them).
+
+    One walk over the positions, right to left.  A state is the element
+    the letters taken so far spell, a suffix of every subword it ends, kept
+    as its rho-image and its image of weight = lambda_P.  A suffix of a
+    reduced word of a minimal representative is one too (Bjorner and
+    Brenti, Combinatorics of Coxeter Groups, section 2.4), so a letter i is
+    taken only where coordinate i of the lambda_P-image is positive, which
+    makes s_i times the state a representative one longer (see
+    weyl.coset_levels): the walk meets no other element, and every subword
+    it spells is reduced.  Nothing grows past the largest length, or
+    where the letters left cannot bring a state to a length asked for.
+    """
+    k, top = len(letters), max(lengths)
+    width = key_width(k)
+    rows = c.sparse_rows
+    # needed[l]: the shortest length asked for that a state of length l can still serve.
+    needed = [min(d for d in lengths if d >= l) for l in range(top + 1)]
+    rho = (1,) * c.n
+    # On the full flag lambda_P is rho itself, the same tuple, and each
+    # step below keeps the two images one object.
+    states: list[dict] = [{rho: (rho if weight == rho else tuple(weight), [0])}]
+    states += [{} for _ in range(top)]
+    for j in range(k - 1, -1, -1):
+        i = letters[j] - 1
+        row, bit = rows[i], 1 << width * j
+        # A state of length l read k - 1 - j letters; from the longest down,
+        # so a state this letter made is not grown by it again.
+        for l in range(min(top - 1, k - 1 - j), -1, -1):
+            if l + 1 + j < needed[l + 1]:
+                continue
+            grown = states[l + 1]
+            for image, (lam, sets) in states[l].items():
+                if (li := lam[i]) > 0:
+                    vi, out = image[i], list(image)
+                    for col, a in row:
+                        out[col] -= vi * a
+                    step = tuple(out)
+                    if lam is image:
+                        lam_step = step
+                    else:
+                        out = list(lam)
+                        for col, a in row:
+                            out[col] -= li * a
+                        lam_step = tuple(out)
+                    shifted = [s + bit for s in sets]
+                    entry = grown.get(step)
+                    if entry is None:
+                        grown[step] = (lam_step, shifted)
+                    else:
+                        entry[1].extend(shifted)
+    return [{image: sets for image, (_, sets) in states[d].items()} for d in lengths]
 
 
 def structure_constant_for_word(
@@ -185,7 +259,12 @@ def choose_orientation(u_length: int, v_length: int, dim: int) -> tuple[str, int
 class FlagManifold:
     """G/P for one Cartan matrix and parabolic subset, validated once: the
     one place that knows its dimension, its representatives by level, their
-    reduced words and duals, the factor check and each orientation."""
+    reduced words and duals, the factor check and each orientation.
+
+    Constants come from constants (named triples, each factor solved on
+    its own), expand (named pairs, over the level of their degree) and
+    table (every pair of two levels, from one walk per target word that
+    finds the factors the word holds and skips the pairs it does not)."""
 
     def __init__(self, c: CartanMatrix, parabolic=(), max_order: int = DEFAULT_MAX_GROUP_ORDER):
         self.c = c
@@ -295,13 +374,88 @@ class FlagManifold:
     def expand(self, pairs, include_zeros: bool = False) -> list[StructureConstant]:
         """The product of the classes of u and v over the representatives
         of degree l(u) + l(v), for each (u, v) of pairs: pair by pair, each
-        in canonical order, zero terms dropped unless include_zeros."""
+        in canonical order, zero terms dropped unless include_zeros.  For
+        every pair of two whole levels, table gives the same terms without
+        the grid of triples."""
         triples = [(u, v, w) for u, v in pairs for w in self.level(u.length + v.length)]
         return [
             StructureConstant(u, v, w, value)
             for (u, v, w), value in zip(triples, self.constants(triples))
             if value != 0 or include_zeros
         ]
+
+    def table(self, d1: int, d2: int, include_zeros: bool = False) -> list[StructureConstant]:
+        """expand of every pair of level(d1) x level(d2), in level order:
+        the same constants and the same order, found from the targets'
+        words instead of from the pairs.
+
+        In the orientation choose_orientation picks for (d1, d2), each
+        target word is walked once (_subword_factors) for the factors of
+        the two lengths it holds: the w of level d1 + d2 with factors
+        (u, v) for direct, u∨ with factors (v, w∨) for dual_u, v∨ with
+        factors (u, w∨) for dual_v, w∨ mapped back to w through dual.  A
+        pair of factors the word does not both hold has constant 0 there,
+        so only pairs with both present enter the target's batched
+        elimination; no pair, triple or _solutions call is made for the
+        rest.  With d1 = d2 only u <= v in canonical order is evaluated,
+        its value copied to (v, u): within each w's batch for direct, and
+        for dual_u (a tie between the duals goes to it) by letting the
+        target u∨ take only the factors v >= u.
+
+        The levels walked are those expand walks for these pairs: level
+        d1, then level d2 if level d1 has a representative, then level
+        d1 + d2 if level d2 has one.
+        """
+        us = self.level(d1)
+        vs = self.level(d2) if us else ()
+        ws = self.level(d1 + d2) if vs else ()
+        if not ws:
+            return []
+        orientation, _ = choose_orientation(d1, d2, self.dim)
+        symmetric = d1 == d2
+        # Each representative's index in its level (an element lies in one level).
+        position = {x.rho_image: j for level in (us, vs, ws) for j, x in enumerate(level)}
+        m = self.dim - d1 - d2  # l(w∨)
+        if orientation == "direct":
+            targets, lengths = ws, (d1, d2)
+        elif orientation == "dual_u":
+            targets, lengths = [self.dual(u) for u in us], (d2, m)
+        else:
+            targets, lengths = [self.dual(v) for v in vs], (d1, m)
+        weight = self.parabolic.weight(self.c)
+        # found[(a, b)]: the nonzero constants of (us[a], vs[b]), by index in ws.
+        found: dict[tuple[int, int], dict[int, int]] = {}
+        for t, target in enumerate(targets):
+            letters = self.word(target)
+            xs, ys = _subword_factors(letters, weight, lengths, self.c)
+            xs = [(position[image], keys) for image, keys in xs.items()]
+            # (a, b, j): the indices of u, v and w; then the two factors' keys.
+            if orientation == "direct":
+                ys = [(position[image], keys) for image, keys in ys.items()]
+                batch = [((a, b, t), ka, kb) for a, ka in xs for b, kb in ys if a <= b or not symmetric]
+            else:
+                ys = [(position[self.dual(WeylElement(image, m)).rho_image], keys) for image, keys in ys.items()]
+                if orientation == "dual_u":
+                    batch = [((t, b, j), kb, kw) for b, kb in xs if b >= t or not symmetric for j, kw in ys]
+                else:
+                    batch = [((a, t, j), ka, kw) for a, ka in xs for j, kw in ys]
+            if not batch:
+                continue
+            values = _eliminate_products(letters, [(kx, ky) for _, kx, ky in batch], self.c)
+            for ((a, b, j), _, _), value in zip(batch, values):
+                if value:
+                    found.setdefault((a, b), {})[j] = value
+                    if symmetric:
+                        found.setdefault((b, a), {})[j] = value
+        terms = []
+        for a, u in enumerate(us):
+            for b, v in enumerate(vs):
+                values = found.get((a, b), {})
+                if include_zeros:
+                    terms += [StructureConstant(u, v, w, values.get(j, 0)) for j, w in enumerate(ws)]
+                else:
+                    terms += [StructureConstant(u, v, ws[j], values[j]) for j in sorted(values)]
+        return terms
 
 
 def structure_constant(

@@ -57,9 +57,11 @@ with every lane in [-2^t, 2^t) at each level boundary:
     absolute value is at most 2^t * (1+s)^(R-1) < 2^(t+g), with
     g = bit_length((1+s)^(R-1)), and t grows by at most g;
   * before a level with t + g >= W, the lanes are measured, which gives
-    the exact t, and refitted, wider or narrower, to the whole bytes that
-    hold t + g + 9 bits: a spare byte past the level's need, so that the
-    levels after it seldom measure again.  The input vector of a monomial
+    the exact t, and when t + g + 9 bits need more whole bytes than W
+    holds, refitted to those bytes: a spare byte past the level's need, so
+    that the levels after it seldom measure again.  Lanes that would fit
+    narrower are kept as they are, as a refit costs more than the wider
+    lanes do.  The input vector of a monomial
     is the sum of c * 2^(W*j) over the inputs j that carry it with
     coefficient c, in lanes with a spare byte past t = the bit length of
     the largest absolute coefficient, found in one pass.
@@ -247,7 +249,7 @@ def eliminate(columns, polys) -> list[int]:
         if bound + growth >= lanes.width:
             bound = lanes.bits(packed.values())
             fitting = _Lanes(n, bound + growth + 8)
-            if fitting.width != lanes.width:
+            if fitting.width > lanes.width:
                 packed = lanes.relane(packed, fitting)
                 lanes = fitting
         packed = _eliminate_last(packed, m, b, column, ones, full, guards >> b * (k - m + 1))

@@ -333,6 +333,48 @@ def _orbit_levels(c: CartanMatrix, weight, letters, max_order: int) -> Iterator[
         level = fresh
 
 
+# A split probe walks at most this many representatives of one orbit, so
+# the choice costs milliseconds even where every candidate orbit is huge
+# (E8 with only nodes 4 and 5 outside W' has orbits of 483,840 and
+# 241,920); the smallest orbit of every flag is far below it (E8: 240,
+# a classical type of rank n: 2n at most).
+_PROBE = 10**4
+
+
+def _split_node(c: CartanMatrix, p: ParabolicSubset, max_order: int) -> int:
+    """The index k outside p whose W/W_J, the orbit of the fundamental
+    weight of k, is smallest, ties to the smaller index; 0 when p holds
+    every index.  The walk of W/W' makes one big-int reflection per element
+    of W/W_J per level, so this split keeps that count smallest, and it
+    follows the diagram, not the labels: a large first factor, such as
+    E7/P{7} split at node 4 (10,080 elements), is never taken.
+
+    Each candidate is probed by an _orbit_levels walk capped at the
+    smallest orbit found so far (at first, at _PROBE or max_order).  An
+    orbit has at least dim + 1 elements, one per level, so a climb to the
+    cap rules a candidate out before any walk; leaves of the diagram go
+    first, as the small orbits usually sit there.  When no orbit fits under
+    the first cap the largest index outside p is taken.
+    """
+    n = c.n
+    outside = [k for k in range(1, n + 1) if k not in p.indices]
+    if len(outside) < 2:
+        return outside[0] if outside else 0
+    best, smallest = outside[-1], None
+    cap = min(max_order, _PROBE)
+    for k in sorted(outside, key=lambda k: (len(c.sparse_rows[k - 1]), k)):
+        weight = [int(i == k) for i in range(1, n + 1)]
+        if climb(c, weight, limit=cap)[1] >= cap:
+            continue
+        try:
+            size = sum(map(len, _orbit_levels(c, weight, range(1, n + 1), cap)))
+        except GroupTooLarge:
+            continue
+        if smallest is None or size < smallest or k < best:
+            best, smallest, cap = k, size, size
+    return best
+
+
 def coset_levels(
     c: CartanMatrix, p, max_order: int = DEFAULT_MAX_GROUP_ORDER
 ) -> Iterator[tuple[WeylElement, ...]]:
@@ -362,10 +404,11 @@ def coset_levels(
     with no repeat to find (_orbit_levels).
 
     That walk takes its steps one at a time, so it walks two small
-    factors only.  With k the largest index outside p and J the others,
-    each representative is u * v, lengths adding, for exactly one minimal
-    representative u of W/W_J (the orbit of the fundamental weight of k)
-    and one v of W_J/W' (the W_J-orbit of lambda_P): Bjorner and Brenti,
+    factors only.  With k an index outside p (_split_node picks the one
+    whose W/W_J is smallest) and J the others, each representative is
+    u * v, lengths adding, for exactly one minimal representative u of
+    W/W_J (the orbit of the fundamental weight of k) and one v of W_J/W'
+    (the W_J-orbit of lambda_P): Bjorner and Brenti,
     Combinatorics of Coxeter Groups, Prop. 2.4.4.  Level l is made of the
     pairs of lengths (a, l - a).  The packed rho-images of the v of one
     length are one int, a block of lanes each, so u(v(rho)) for all of them
@@ -380,7 +423,7 @@ def coset_levels(
     n = c.n
     size = 2 * n
     shifts, rows = _packed_rows(c)
-    k = max((i for i in range(1, n + 1) if i not in p.indices), default=0)
+    k = _split_node(c, p, max_order)
     lefts = _orbit_levels(c, [int(i == k) for i in range(1, n + 1)], range(1, n + 1), max_order)
     rights = _orbit_levels(c, p.weight(c), [i for i in range(1, n + 1) if i != k], max_order)
     # left[a]: (lane shift of d, rows[d], parent) for each u of length a.

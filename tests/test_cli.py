@@ -439,10 +439,10 @@ def test_negative_constant_exits_2(capsys, monkeypatch):
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
-    def exhausted(self, pairs, include_zeros=False):
+    def exhausted(self, d1, d2, include_zeros=False):
         raise MemoryError
 
-    monkeypatch.setattr(schubert.FlagManifold, "expand", exhausted)
+    monkeypatch.setattr(schubert.FlagManifold, "table", exhausted)
     assert run_cli(capsys, "--type", "A2", "--table", "1", "1") == (2, "", "error: out of memory\n")
 
 

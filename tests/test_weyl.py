@@ -407,13 +407,16 @@ def _walk_cases():
     yield "E8", tuple(range(1, 8)), None, None
     yield "A500", tuple(range(2, 501)), None, None
     yield "C500", tuple(range(2, 501)), None, None
-    # The walk splits W/W' at the largest index k outside W'.  On the flag
-    # that is index n, so each relabelling below splits at another node;
-    # the standard labelling above covers node n.
+    # The walk splits W/W' at the node outside W' with the smallest W/W_J,
+    # ties to the smaller index; each relabelling below moves one node to
+    # index n, the standard labelling above covers node n.  E6/P{1,6}
+    # splits at node 2, and E6/P{1,2,6} at node 3, tied with node 5.
     for name, n in (("E6", 6), ("D4", 4)):
         for last in range(1, n):
             yield name, (), None, last
     yield "E6", (1,), None, None
+    yield "E6", (1, 6), None, None
+    yield "E6", (1, 2, 6), None, None
     yield "A7", (2, 5), None, None
     yield "B4", (2, 4), None, None
     yield "E7", (), 8, None
@@ -451,6 +454,42 @@ def test_coset_levels_match_a_dedupe_walk(name, p, depth, last):
     # Every coordinate fits a packed lane, with room to spare.
     assert largest <= _coxeter_number(name) - 1
     assert 2 * MAX_RANK - 1 < 2**15
+
+
+def _relabelled(name, last):
+    """The named matrix with node last moved to index n (None: as named)."""
+    c = cartan_matrix_by_name(name)
+    if last is None:
+        return c
+    order = [i for i in range(c.n) if i != last - 1] + [last - 1]
+    return validate_cartan([[c.entries[a][b] for b in order] for a in order])
+
+
+@pytest.mark.parametrize(
+    "name,p,last",
+    [("E6", (), last) for last in (None, 1, 2, 3, 4, 5)]
+    + [("D4", (), last) for last in (None, 1, 2)]
+    + [("E6", (1, 6), None), ("E6", (1, 2, 6), None), ("E6", (2,), 1), ("E7", (7,), None),
+       ("F4", (), None), ("F4", (), 2), ("B4", (), 1), ("C4", (2,), None), ("G2", (), None), ("A5", (3,), 1)],
+)
+def test_walk_splits_at_the_smallest_first_factor(name, p, last):
+    # Against every candidate's orbit of its fundamental weight, W/W_J,
+    # walked whole (a maximal W_J is a single-candidate split).
+    c = _relabelled(name, last)
+    outside = [k for k in range(1, c.n + 1) if k not in p]
+    sizes = {k: len(minimal_coset_reps(c, [i for i in range(1, c.n + 1) if i != k])) for k in outside}
+    assert weyl._split_node(c, weyl.ParabolicSubset.of(p), 10**6) == min(outside, key=lambda k: (sizes[k], k))
+
+
+def test_split_probes_stay_bounded():
+    # E8 with only nodes 4 and 5 outside W': orbits of 483,840 and 241,920,
+    # both past the probe, so the largest index is taken without walking
+    # either; the A500 flag's 498 inner nodes are ruled out by their climbs.
+    start = time.perf_counter()
+    e8 = weyl.ParabolicSubset.of((1, 2, 3, 6, 7, 8))
+    assert weyl._split_node(cartan_matrix_by_name("E8"), e8, 10**6) == 5
+    assert weyl._split_node(cartan_matrix_by_name("A500"), weyl.ParabolicSubset.of(()), 10**6) == 1
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize(
