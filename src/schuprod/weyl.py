@@ -341,6 +341,40 @@ def _orbit_levels(c: CartanMatrix, weight, letters, max_order: int) -> Iterator[
 _PROBE = 10**4
 
 
+def _paths_through(c: CartanMatrix) -> list[int]:
+    """For each node (0-based), the number of paths of the Dynkin diagram,
+    single nodes included, that pass through it.  The simple roots along a
+    path sum to a positive root, with coefficient 1 at each of its nodes, so
+    this is a lower bound on dim G/P for the maximal parabolic of the
+    other nodes (and equals it in type A).  The diagram is a forest, and
+    the paths through k are those of its component, m(m + 1)/2 for m
+    nodes, less those inside one branch at k."""
+    n = c.n
+    neighbours = [[j for j, _ in row if j != i] for i, row in enumerate(c.sparse_rows)]
+    parent, size, component = [-1] * n, [1] * n, [0] * n
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root], order = True, [root]
+        for x in order:
+            for y in neighbours[x]:
+                if not seen[y]:
+                    seen[y], parent[y] = True, x
+                    order.append(y)
+        for x in reversed(order[1:]):
+            size[parent[x]] += size[x]
+        for x in order:
+            component[x] = len(order)
+    paths = []
+    for x in range(n):
+        branches = [size[y] for y in neighbours[x] if parent[y] == x]
+        if parent[x] >= 0:
+            branches.append(component[x] - size[x])
+        paths.append((component[x] * (component[x] + 1) - sum(b * (b + 1) for b in branches)) // 2)
+    return paths
+
+
 def _split_node(c: CartanMatrix, p: ParabolicSubset, max_order: int) -> int:
     """The index k outside p whose W/W_J, the orbit of the fundamental
     weight of k, is smallest, ties to the smaller index; 0 when p holds
@@ -351,8 +385,9 @@ def _split_node(c: CartanMatrix, p: ParabolicSubset, max_order: int) -> int:
 
     Each candidate is probed by an _orbit_levels walk capped at the
     smallest orbit found so far (at first, at _PROBE or max_order).  An
-    orbit has at least dim + 1 elements, one per level, so a climb to the
-    cap rules a candidate out before any walk; leaves of the diagram go
+    orbit has at least dim + 1 elements, one per level, so a candidate is
+    ruled out before any walk when a lower bound on dim (_paths_through),
+    or else a climb to the cap, reaches the cap; leaves of the diagram go
     first, as the small orbits usually sit there.  When no orbit fits under
     the first cap the largest index outside p is taken.
     """
@@ -360,11 +395,12 @@ def _split_node(c: CartanMatrix, p: ParabolicSubset, max_order: int) -> int:
     outside = [k for k in range(1, n + 1) if k not in p.indices]
     if len(outside) < 2:
         return outside[0] if outside else 0
+    paths = _paths_through(c)
     best, smallest = outside[-1], None
     cap = min(max_order, _PROBE)
     for k in sorted(outside, key=lambda k: (len(c.sparse_rows[k - 1]), k)):
         weight = [int(i == k) for i in range(1, n + 1)]
-        if climb(c, weight, limit=cap)[1] >= cap:
+        if paths[k - 1] >= cap or climb(c, weight, limit=cap)[1] >= cap:
             continue
         try:
             size = sum(map(len, _orbit_levels(c, weight, range(1, n + 1), cap)))

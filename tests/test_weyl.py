@@ -19,6 +19,7 @@ from schuprod import (
 from schuprod.weyl import (
     WeylElement,
     apply_simple_reflection,
+    climb,
     element_to_dict,
     format_word,
     identity,
@@ -481,15 +482,27 @@ def test_walk_splits_at_the_smallest_first_factor(name, p, last):
     assert weyl._split_node(c, weyl.ParabolicSubset.of(p), 10**6) == min(outside, key=lambda k: (sizes[k], k))
 
 
+@pytest.mark.parametrize("name", ["A1", "A5", "B4", "C4", "D4", "D6", "E6", "E7", "E8", "F4", "G2"])
+def test_paths_through_a_node_bound_its_grassmannian_dimension(name):
+    # Each path through k is the support of a root with coefficient 1 at k,
+    # so the count is at most dim G/P_k, the climb's step count from the
+    # fundamental weight of k; in type A every such root is a path.
+    c = cartan_matrix_by_name(name)
+    dims = [climb(c, [int(i == k) for i in range(1, c.n + 1)])[1] for k in range(1, c.n + 1)]
+    paths = weyl._paths_through(c)
+    assert all(0 < p <= d for p, d in zip(paths, dims))
+    assert (paths == dims) == name.startswith("A")
+
+
 def test_split_probes_stay_bounded():
     # E8 with only nodes 4 and 5 outside W': orbits of 483,840 and 241,920,
     # both past the probe, so the largest index is taken without walking
-    # either; the A500 flag's 498 inner nodes are ruled out by their climbs.
+    # either; the A500 flag's 498 inner nodes are ruled out by their paths.
     start = time.perf_counter()
     e8 = weyl.ParabolicSubset.of((1, 2, 3, 6, 7, 8))
     assert weyl._split_node(cartan_matrix_by_name("E8"), e8, 10**6) == 5
     assert weyl._split_node(cartan_matrix_by_name("A500"), weyl.ParabolicSubset.of(()), 10**6) == 1
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(
