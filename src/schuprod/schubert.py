@@ -412,40 +412,36 @@ class FlagManifold:
         if not ws:
             return []
         orientation, _ = choose_orientation(d1, d2, self.dim)
-        symmetric = d1 == d2
         # Each representative's index in its level (an element lies in one level).
         position = {x.rho_image: j for level in (us, vs, ws) for j, x in enumerate(level)}
         m = self.dim - d1 - d2  # l(w∨)
+        # place(t, x, y): the indices (a, b, j) of u, v and w, from those of
+        # the target and of its two factors.
         if orientation == "direct":
-            targets, lengths = ws, (d1, d2)
+            targets, lengths, place = ws, (d1, d2), lambda t, x, y: (x, y, t)
         elif orientation == "dual_u":
-            targets, lengths = [self.dual(u) for u in us], (d2, m)
+            targets, lengths, place = [self.dual(u) for u in us], (d2, m), lambda t, x, y: (t, x, y)
         else:
-            targets, lengths = [self.dual(v) for v in vs], (d1, m)
+            targets, lengths, place = [self.dual(v) for v in vs], (d1, m), lambda t, x, y: (x, t, y)
         weight = self.parabolic.weight(self.c)
         # found[(a, b)]: the nonzero constants of (us[a], vs[b]), by index in ws.
         found: dict[tuple[int, int], dict[int, int]] = {}
         for t, target in enumerate(targets):
             letters = self.word(target)
             xs, ys = _subword_factors(letters, weight, lengths, self.c)
-            xs = [(position[image], keys) for image, keys in xs.items()]
-            # (a, b, j): the indices of u, v and w; then the two factors' keys.
-            if orientation == "direct":
-                ys = [(position[image], keys) for image, keys in ys.items()]
-                batch = [((a, b, t), ka, kb) for a, ka in xs for b, kb in ys if a <= b or not symmetric]
-            else:
-                ys = [(position[self.dual(WeylElement(image, m)).rho_image], keys) for image, keys in ys.items()]
-                if orientation == "dual_u":
-                    batch = [((t, b, j), kb, kw) for b, kb in xs if b >= t or not symmetric for j, kw in ys]
-                else:
-                    batch = [((a, t, j), ka, kw) for a, ka in xs for j, kw in ys]
+            if orientation != "direct":
+                # The factors w∨, keyed by w (dual is an involution).
+                ys = {self.dual(WeylElement(image, m)).rho_image: keys for image, keys in ys.items()}
+            batch = [(place(t, position[x], position[y]), kx, ky) for x, kx in xs.items() for y, ky in ys.items()]
+            if d1 == d2:
+                batch = [entry for entry in batch if entry[0][0] <= entry[0][1]]
             if not batch:
                 continue
             values = _eliminate_products(letters, [(kx, ky) for _, kx, ky in batch], self.c)
             for ((a, b, j), _, _), value in zip(batch, values):
                 if value:
                     found.setdefault((a, b), {})[j] = value
-                    if symmetric:
+                    if d1 == d2:
                         found.setdefault((b, a), {})[j] = value
         terms = []
         for a, u in enumerate(us):
