@@ -14,7 +14,9 @@ extraction, all float-free.  Enumeration of the minimal coset
 representatives of W/W' applies it to the weight lambda_P stabilised by
 W' in place of rho: the representatives are in bijection with the orbit
 of lambda_P, and the whole group is the case W' = 1.  The walk splits
-W/W' at a maximal parabolic W_J into W/W_J times W_J/W', lengths adding.
+W/W' at a maximal parabolic W_J into W/W_J times W_J/W', lengths adding,
+with J all nodes but the one k outside W' of least dim G/P_k, then fewest
+paths of the Dynkin diagram through k, then least index (_split_node).
 Each factor is walked once from canonical parents (peel the smallest left
 descent, as reduced_word does) on weights packed into one int of 16-bit
 lanes, so a step is one row subtraction and the parent test one AND; each
@@ -333,14 +335,6 @@ def _orbit_levels(c: CartanMatrix, weight, letters, max_order: int) -> Iterator[
         level = fresh
 
 
-# A split probe walks at most this many representatives of one orbit, so
-# the choice costs milliseconds even where every candidate orbit is huge
-# (E8 with only nodes 4 and 5 outside W' has orbits of 483,840 and
-# 241,920); the smallest orbit of every flag is far below it (E8: 240,
-# a classical type of rank n: 2n at most).
-_PROBE = 10**4
-
-
 def _paths_through(c: CartanMatrix) -> list[int]:
     """For each node (0-based), the number of paths of the Dynkin diagram,
     single nodes included, that pass through it.  The simple roots along a
@@ -375,39 +369,36 @@ def _paths_through(c: CartanMatrix) -> list[int]:
     return paths
 
 
-def _split_node(c: CartanMatrix, p: ParabolicSubset, max_order: int) -> int:
-    """The index k outside p whose W/W_J, the orbit of the fundamental
-    weight of k, is smallest, ties to the smaller index; 0 when p holds
-    every index.  The walk of W/W' makes one big-int reflection per element
-    of W/W_J per level, so this split keeps that count smallest, and it
-    follows the diagram, not the labels: a large first factor, such as
-    E7/P{7} split at node 4 (10,080 elements), is never taken.
+def _split_node(c: CartanMatrix, p: ParabolicSubset) -> int:
+    """The index k outside p with the smallest key (dim G/P_k, paths of
+    the diagram through k, k); 0 when p holds every index.  The walk of
+    W/W' makes one big-int reflection per element of W/W_J per level, and
+    W/W_J is the orbit of the fundamental weight of k, which has at least
+    dim + 1 elements, one per level.  On every parabolic subset of A4-A7,
+    B3-B8, C3-C8, D4-D8, E6-E8, F4 and G2 the key's orbit is a smallest
+    one; a dimension tie goes to the path count, which tells the smaller
+    orbit apart (B5 with p = {1,3,4}: 32 elements at node 5, 40 at node
+    2), and the index decides last.  So the split follows the diagram: a
+    large first factor, such as E7/P{7} split at node 4 (10,080 elements),
+    is never taken.
 
-    Each candidate is probed by an _orbit_levels walk capped at the
-    smallest orbit found so far (at first, at _PROBE or max_order).  An
-    orbit has at least dim + 1 elements, one per level, so a candidate is
-    ruled out before any walk when a lower bound on dim (_paths_through),
-    or else a climb to the cap, reaches the cap; leaves of the diagram go
-    first, as the small orbits usually sit there.  When no orbit fits under
-    the first cap the largest index outside p is taken.
+    The candidates are taken in order of (_paths_through, index), so a
+    dimension equal to the best so far loses to it.  The path count is a
+    lower bound on the dimension, so the search stops at the first
+    candidate whose count reaches the best dimension, and each dimension
+    is a climb from the fundamental weight capped there.
     """
-    n = c.n
-    outside = [k for k in range(1, n + 1) if k not in p.indices]
+    outside = [k for k in range(1, c.n + 1) if k not in p.indices]
     if len(outside) < 2:
         return outside[0] if outside else 0
     paths = _paths_through(c)
-    best, smallest = outside[-1], None
-    cap = min(max_order, _PROBE)
-    for k in sorted(outside, key=lambda k: (len(c.sparse_rows[k - 1]), k)):
-        weight = [int(i == k) for i in range(1, n + 1)]
-        if paths[k - 1] >= cap or climb(c, weight, limit=cap)[1] >= cap:
-            continue
-        try:
-            size = sum(map(len, _orbit_levels(c, weight, range(1, n + 1), cap)))
-        except GroupTooLarge:
-            continue
-        if smallest is None or size < smallest or k < best:
-            best, smallest, cap = k, size, size
+    best, smallest = 0, float("inf")
+    for k in sorted(outside, key=lambda k: (paths[k - 1], k)):
+        if paths[k - 1] >= smallest:
+            break
+        dim = climb(c, [int(i == k) for i in range(1, c.n + 1)], limit=smallest)[1]
+        if dim < smallest:
+            best, smallest = k, dim
     return best
 
 
@@ -440,8 +431,10 @@ def coset_levels(
     with no repeat to find (_orbit_levels).
 
     That walk takes its steps one at a time, so it walks two small
-    factors only.  With k an index outside p (_split_node picks the one
-    whose W/W_J is smallest) and J the others, each representative is
+    factors only.  With k an index outside p (_split_node picks the one of
+    least dim G/P_k, ties to fewer diagram paths through k, then to the
+    smaller index, which keeps W/W_J small) and J the others, each
+    representative is
     u * v, lengths adding, for exactly one minimal representative u of
     W/W_J (the orbit of the fundamental weight of k) and one v of W_J/W'
     (the W_J-orbit of lambda_P): Bjorner and Brenti,
@@ -459,7 +452,7 @@ def coset_levels(
     n = c.n
     size = 2 * n
     shifts, rows = _packed_rows(c)
-    k = _split_node(c, p, max_order)
+    k = _split_node(c, p)
     lefts = _orbit_levels(c, [int(i == k) for i in range(1, n + 1)], range(1, n + 1), max_order)
     rights = _orbit_levels(c, p.weight(c), [i for i in range(1, n + 1) if i != k], max_order)
     # left[a]: (lane shift of d, rows[d], parent) for each u of length a.

@@ -111,3 +111,72 @@ def test_flag_table_matches_its_digest(capsys, name, degree, count, digest):
     assert len(records) == count
     canonical = json.dumps(records, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canonical).hexdigest() == digest
+
+
+def _degree_checksum_misses(space, d1, d2, weights, records):
+    """The pairs (u, v) of level(d1) x level(d2) whose records break
+    sum_w a^w_{u,v} deg_h(w) = [u∨](v h^m) for one of the weight vectors,
+    where h = sum c_i s_i over the nodes i outside the parabolic,
+    m = dim - d1 - d2 and deg_h(w) = the integral of w h^(dim - l(w)).
+    Both sides come from Chevalley's formula and the duals alone: deg_h
+    from one sweep down the levels, each element's products memoised."""
+    c, dim = space.c, space.dim
+    nodes = [i for i in range(1, c.n + 1) if i not in space.parabolic.indices]
+    products = {}
+
+    def times_h(x, weight):
+        if x not in products:
+            products[x] = {i: oracles.chevalley(i, x, c, space.parabolic) for i in nodes}
+        out = {}
+        for i, a in zip(nodes, weight):
+            for y, b in products[x][i].items():
+                out[y] = out.get(y, 0) + a * b
+        return out
+
+    found = {}
+    for r in records:
+        found.setdefault((r.u, r.v), []).append(r)
+    (top,) = space.level(dim)
+    misses = set()
+    for weight in weights:
+        deg = {top: 1}
+        for d in range(dim - 1, d1 + d2 - 1, -1):
+            for x in space.level(d):
+                deg[x] = sum(b * deg[y] for y, b in times_h(x, weight).items())
+        for v in space.level(d2):
+            product = {v: 1}
+            for _ in range(dim - d1 - d2):
+                step = {}
+                for x, a in product.items():
+                    for y, b in times_h(x, weight).items():
+                        step[y] = step.get(y, 0) + a * b
+                product = step
+            for u in space.level(d1):
+                left = sum(r.value * deg[r.w] for r in found.get((u, v), ()))
+                if left != product.get(space.dual(u), 0):
+                    misses.add((u, v))
+    return misses
+
+
+@pytest.mark.parametrize(
+    "name, parabolic, d1, d2",
+    [
+        ("A3", (), 1, 2), ("B3", (), 2, 2), ("G2", (), 2, 2),
+        ("F4", (1, 2, 3), 3, 3), ("E6", (2, 3, 4, 5, 6), 3, 4),
+    ],
+    ids=["A3", "B3", "G2", "F4-P4", "E6-P1"],
+)
+def test_table_passes_the_degree_checksum(name, parabolic, d1, d2):
+    # Pairing the product of u and v with h^m gives one linear check per
+    # pair and weight vector that shares no solver or operator code with
+    # the table (on a maximal parabolic the second vector only scales h).
+    # Every deg_h(w) is positive, so raising one value breaks its pair's
+    # check.
+    space = FlagManifold(cartan_matrix_by_name(name), parabolic)
+    records = space.table(d1, d2)
+    outside = space.c.n - len(parabolic)
+    weights = [(1,) * outside, tuple(range(2, outside + 2))]
+    assert records and not _degree_checksum_misses(space, d1, d2, weights, records)
+    first = records[0]
+    raised = [schubert.StructureConstant(first.u, first.v, first.w, first.value + 1), *records[1:]]
+    assert _degree_checksum_misses(space, d1, d2, weights, raised) == {(first.u, first.v)}

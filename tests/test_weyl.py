@@ -471,15 +471,18 @@ def _relabelled(name, last):
     [("E6", (), last) for last in (None, 1, 2, 3, 4, 5)]
     + [("D4", (), last) for last in (None, 1, 2)]
     + [("E6", (1, 6), None), ("E6", (1, 2, 6), None), ("E6", (2,), 1), ("E7", (7,), None),
-       ("F4", (), None), ("F4", (), 2), ("B4", (), 1), ("C4", (2,), None), ("G2", (), None), ("A5", (3,), 1)],
+       ("F4", (), None), ("F4", (), 2), ("B4", (), 1), ("C4", (2,), None), ("G2", (), None), ("A5", (3,), 1)]
+    + [("B5", (1, 3, 4), None), ("D7", (1, 3, 4, 5, 7), None), ("B8", (1, 2, 4, 5, 6, 7), None)],
 )
 def test_walk_splits_at_the_smallest_first_factor(name, p, last):
     # Against every candidate's orbit of its fundamental weight, W/W_J,
-    # walked whole (a maximal W_J is a single-candidate split).
+    # walked whole (a maximal W_J is a single-candidate split).  In the last
+    # three cases both candidates have the same dim G/P_k, and the larger
+    # index, with fewer diagram paths through it, has the smaller orbit.
     c = _relabelled(name, last)
     outside = [k for k in range(1, c.n + 1) if k not in p]
     sizes = {k: len(minimal_coset_reps(c, [i for i in range(1, c.n + 1) if i != k])) for k in outside}
-    assert weyl._split_node(c, weyl.ParabolicSubset.of(p), 10**6) == min(outside, key=lambda k: (sizes[k], k))
+    assert weyl._split_node(c, weyl.ParabolicSubset.of(p)) == min(outside, key=lambda k: (sizes[k], k))
 
 
 @pytest.mark.parametrize("name", ["A1", "A5", "B4", "C4", "D4", "D6", "E6", "E7", "E8", "F4", "G2"])
@@ -496,13 +499,35 @@ def test_paths_through_a_node_bound_its_grassmannian_dimension(name):
 
 def test_split_probes_stay_bounded():
     # E8 with only nodes 4 and 5 outside W': orbits of 483,840 and 241,920,
-    # both past the probe, so the largest index is taken without walking
-    # either; the A500 flag's 498 inner nodes are ruled out by their paths.
+    # told apart by two climbs, never walked; the A500 flag's 498 inner
+    # nodes are ruled out by their paths after the first leaf's climb.
     start = time.perf_counter()
     e8 = weyl.ParabolicSubset.of((1, 2, 3, 6, 7, 8))
-    assert weyl._split_node(cartan_matrix_by_name("E8"), e8, 10**6) == 5
-    assert weyl._split_node(cartan_matrix_by_name("A500"), weyl.ParabolicSubset.of(()), 10**6) == 1
+    assert weyl._split_node(cartan_matrix_by_name("E8"), e8) == 5
+    assert weyl._split_node(cartan_matrix_by_name("A500"), weyl.ParabolicSubset.of(())) == 1
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("name", ["B5", "C5", "D5", "D6", "D7", "F4", "E6", "E7"])
+def test_split_orbit_is_a_smallest_one_on_every_candidate_set(name):
+    # Every set of two or more nodes outside W': the chosen node's orbit is
+    # as small as the smallest candidate's.
+    c = cartan_matrix_by_name(name)
+    nodes = range(1, c.n + 1)
+    sizes = {k: len(minimal_coset_reps(c, [i for i in nodes if i != k])) for k in nodes}
+    for r in range(2, c.n + 1):
+        for outside in itertools.combinations(nodes, r):
+            p = weyl.ParabolicSubset.of([i for i in nodes if i not in outside])
+            assert sizes[weyl._split_node(c, p)] == min(sizes[k] for k in outside), outside
+
+
+def test_split_walks_no_orbit(monkeypatch):
+    # The E8 flag's split comes from climbs and path counts alone.
+    def refused(*args):
+        raise AssertionError("_split_node walked an orbit")
+
+    monkeypatch.setattr(weyl, "_orbit_levels", refused)
+    assert weyl._split_node(cartan_matrix_by_name("E8"), weyl.ParabolicSubset.of(())) == 8
 
 
 @pytest.mark.parametrize(
